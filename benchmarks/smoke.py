@@ -345,47 +345,6 @@ def bench_catchup(group, rng, trajectory, rounds, batch):
     return d / f
 
 
-def bench_backend_pairing(group, rng, trajectory, rounds):
-    """Full cold pairing under every available arithmetic backend.
-
-    One fresh group per backend over the same parameters; the pure
-    ``python`` backend is recorded as the ``direct`` variant, so the
-    derived ``speedup_vs_direct`` rows are exactly the backend
-    acceptance ratios (e.g. ``pairing_backend:ss512:montgomery``).
-    Each timed call clears the caches first — this is the *cold* path,
-    where the Montgomery backend's record-then-evaluate strategy has to
-    pay its own recording cost.  Byte-identity across backends is
-    asserted on the way.
-    """
-    from repro.math.backend import available_backends
-
-    s1, s2 = group.random_scalar(rng), group.random_scalar(rng)
-    medians = {}
-    reference_bytes = None
-    for name in available_backends():
-        g = PairingGroup(group.params, family=group.family, backend=name)
-        p_point = g.mul(g.generator, s1)
-        q_point = g.mul(g.generator, s2)
-        gt_bytes = g.pair(p_point, q_point).to_bytes()
-        if reference_bytes is None:
-            reference_bytes = gt_bytes
-        assert gt_bytes == reference_bytes, f"backend {name} diverged"
-
-        def cold(g=g, p_point=p_point, q_point=q_point):
-            g.clear_precomputations()
-            g.tate.pair(p_point, q_point)
-
-        variant = "direct" if name == "python" else name
-        medians[name] = trajectory.measure(
-            g, "pairing_backend", variant, cold, rounds, batch=1
-        )
-        g.clear_precomputations()
-    fastest = min(
-        (n for n in medians if n != "python"), key=medians.__getitem__
-    )
-    return medians["python"] / medians[fastest]
-
-
 def bench_parallel_decrypt(group, rng, trajectory, rounds, batch, workers=None):
     """``decrypt_batch`` sequential vs sharded across worker processes.
 
@@ -453,9 +412,6 @@ def run_all(group, rng, trajectory, rounds, batch, workers=None):
         f"archive catch-up x{batch}": bench_catchup(
             group, rng, trajectory, rounds, batch
         ),
-        "backend pairing": bench_backend_pairing(
-            group, rng, trajectory, rounds
-        ),
         f"parallel decrypt x{batch}": bench_parallel_decrypt(
             group, rng, trajectory, rounds, batch, workers
         ),
@@ -473,23 +429,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for the parallel-decrypt "
                              "comparison (default: max(2, cpu count))")
-    parser.add_argument("--backend", default=None,
-                        help="field-arithmetic backend for the main group "
-                             "(python, montgomery, gmpy2, auto; default "
-                             "auto — the backend comparison entry always "
-                             "measures every available backend)")
     parser.add_argument("--output", default=None,
                         help="trajectory file (default: repo-root "
                              "BENCH_pairing.json)")
     args = parser.parse_args(argv)
 
-    group = PairingGroup(args.params, family="A", backend=args.backend)
+    group = PairingGroup(args.params, family="A")
     rng = seeded_rng(f"smoke:{args.params}")
     trajectory = BenchTrajectory(args.output)
 
     print(f"precomputation smoke benchmark on {args.params} "
-          f"(q={group.q.bit_length()} bits, backend={group.backend_name}, "
-          f"rounds={args.rounds})")
+          f"(q={group.q.bit_length()} bits, rounds={args.rounds})")
     ratios = run_all(
         group, rng, trajectory, args.rounds, args.batch, args.workers
     )

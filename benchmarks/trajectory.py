@@ -67,7 +67,6 @@ class BenchTrajectory:
         median_seconds: float,
         rounds: int,
         op_counts: dict[str, int] | None = None,
-        backend: str | None = None,
         **extra,
     ) -> None:
         from repro.parallel import available_workers
@@ -79,13 +78,10 @@ class BenchTrajectory:
             "median_ms": round(median_seconds * 1000, 4),
             "rounds": rounds,
             # Execution context: medians are only comparable between
-            # runs with the same arithmetic backend on the same CPU
-            # budget, so every entry records both and --check skips
-            # mismatched pairs (see compare_entries).
+            # runs on the same CPU budget, so every entry records it and
+            # --check skips mismatched pairs (see compare_entries).
             "cpus": available_workers(),
         }
-        if backend is not None:
-            entry["backend"] = backend
         if op_counts:
             entry["op_counts"] = dict(op_counts)
         if extra:
@@ -107,7 +103,7 @@ class BenchTrajectory:
         median = time_median(fn, rounds)
         self.record(
             op, group.params.name, variant, median, rounds,
-            op_counts=counts, backend=group.backend_name, **extra,
+            op_counts=counts, **extra,
         )
         return median
 
@@ -172,7 +168,7 @@ def load_committed(path: pathlib.Path | str | None = None) -> dict[str, dict]:
 #: under.  --check only gates committed/fresh pairs whose contexts
 #: match; a committed entry missing a field predates context recording
 #: and matches anything (legacy wildcard).
-CONTEXT_FIELDS = ("backend", "cpus")
+CONTEXT_FIELDS = ("cpus",)
 
 
 def _context_mismatch(committed_entry: dict, fresh_entry: dict) -> bool:
@@ -202,10 +198,10 @@ def compare_entries(
     are visible in the table.  Committed keys the fresh run did not
     measure appear with status ``"not-measured"`` (also informational —
     the gate only judges pairs measured on both sides).  A pair whose
-    recorded execution context (:data:`CONTEXT_FIELDS` — backend, CPU
-    count) disagrees gets status ``"context-differs"``: the ratio is
-    shown but never gated, since a median taken under a different
-    backend or CPU budget is not evidence of a regression.  Committed
+    recorded execution context (:data:`CONTEXT_FIELDS` — the CPU count)
+    disagrees gets status ``"context-differs"``: the ratio is shown but
+    never gated, since a median taken under a different CPU budget is
+    not evidence of a regression.  Committed
     entries that predate context recording match any context.
     """
     rows: list[tuple] = []
@@ -271,13 +267,12 @@ def run_check(
     batch: int = 32,
     workers: int | None = None,
     path: pathlib.Path | str | None = None,
-    backend: str | None = None,
 ) -> int:
     """Re-measure the smoke entries and diff against the committed file.
 
     Never writes the trajectory; returns a process exit code (0 = no
     regression beyond tolerance, 1 = at least one).  Only entries whose
-    committed execution context (backend, cpus) matches the fresh run
+    committed execution context (cpus) matches the fresh run
     are gated; the rest are reported as ``context-differs``.
     """
     from benchmarks import smoke
@@ -285,7 +280,7 @@ def run_check(
     from repro.pairing.api import PairingGroup
 
     committed = load_committed(path)
-    group = PairingGroup(params, family="A", backend=backend)
+    group = PairingGroup(params, family="A")
     rng = seeded_rng(f"smoke:{params}")
     fresh = BenchTrajectory(path)
     smoke.run_all(group, rng, fresh, rounds, batch, workers)
@@ -325,10 +320,6 @@ def main(argv=None) -> int:
                         help="batch size for the batch/parallel entries")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the parallel entry")
-    parser.add_argument("--backend", default=None,
-                        help="field-arithmetic backend for the fresh "
-                             "measurements (python, montgomery, gmpy2, "
-                             "auto; default auto)")
     parser.add_argument("--path", default=None,
                         help="trajectory file (default: repo root "
                              "BENCH_pairing.json)")
@@ -342,7 +333,6 @@ def main(argv=None) -> int:
             batch=args.batch,
             workers=args.workers,
             path=args.path,
-            backend=args.backend,
         )
     # Without --check: print the committed trajectory.
     committed = load_committed(args.path)

@@ -9,11 +9,6 @@
 #   ./scripts/check.sh --chaos    # also run the seeded fault-injection
 #                                 # chaos suite (pytest -m faults) across
 #                                 # the three fixed CI seeds
-#   ./scripts/check.sh --backends # also run the cross-backend identity
-#                                 # suites against every field-arithmetic
-#                                 # backend the box has (gmpy2 legs skip
-#                                 # themselves when the wheel is absent —
-#                                 # mirrors CI's test-gmpy2 job)
 #
 # ruff and mypy are optional: they are skipped with a notice when not
 # installed so the gate works on the offline, stdlib-only toolchain the
@@ -26,12 +21,10 @@ cd "$(dirname "$0")/.."
 fast=0
 bench=0
 chaos=0
-backends=0
 for arg in "$@"; do
     [ "$arg" = "--fast" ] && fast=1
     [ "$arg" = "--bench" ] && bench=1
     [ "$arg" = "--chaos" ] && chaos=1
-    [ "$arg" = "--backends" ] && backends=1
 done
 
 failures=0
@@ -72,18 +65,6 @@ if [ "$chaos" -eq 1 ]; then
     step "chaos suite (pytest -m faults, seeds 101/202/303)"
     REPRO_CHAOS_SEEDS="101,202,303" \
         PYTHONPATH=src python -m pytest -q -m faults \
-        || failures=$((failures + 1))
-fi
-
-if [ "$backends" -eq 1 ]; then
-    step "cross-backend identity suites (every available backend)"
-    PYTHONPATH=src python -c \
-        "from repro.math.backend import available_backends, resolve_backend_name; \
-         print('available backends:', ', '.join(available_backends())); \
-         print('auto resolves to:', resolve_backend_name('auto'))"
-    PYTHONPATH=src python -m pytest -q \
-        tests/math/test_backends.py tests/core/test_cross_backend.py \
-        tests/core/test_worker_warmup.py \
         || failures=$((failures + 1))
 fi
 

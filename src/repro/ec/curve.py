@@ -174,8 +174,8 @@ class EllipticCurve:
         Uses Montgomery's trick: one field inversion for the whole batch
         instead of one per point.  Infinity entries come back as ``None``.
         Over a :class:`~repro.math.field.PrimeField` the inversion runs
-        through the field backend's
-        :meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv` on
+        through the field kernel's
+        :meth:`~repro.math.backend.FieldBackend.fp_batch_inv` on
         raw coefficients (same values, no per-step object allocation);
         extension-field batches keep the generic element path.
         """
@@ -200,7 +200,7 @@ class EllipticCurve:
         return out
 
     def _batch_to_affine_fp(self, triples):
-        """Backend-accelerated base-field batch normalization."""
+        """Base-field batch normalization on raw ints via the field kernel."""
         field = self.field
         p = field.p
         z_values = [z.value for _, _, z in triples if not z.is_zero()]

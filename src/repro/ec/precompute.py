@@ -8,8 +8,9 @@ for multiplications that need **zero doublings** — just one mixed
 addition per window — which amortizes after a few calls on the same
 point.
 
-The module also provides :func:`wnaf_digits`, the signed-digit
-expansion shared with :meth:`repro.ec.curve.EllipticCurve.multi_scalar_mult`.
+The module also re-exports :func:`repro.math.modular.wnaf_digits`, the
+signed-digit expansion used by
+:meth:`repro.ec.curve.EllipticCurve.multi_scalar_mult`.
 
 Every fast path here returns exactly the point the direct
 :meth:`~repro.ec.curve.EllipticCurve.scalar_mult` would — affine
@@ -21,33 +22,9 @@ from __future__ import annotations
 
 from repro.ec.point import CurvePoint
 from repro.errors import ParameterError
+from repro.math.modular import wnaf_digits
 
-
-def wnaf_digits(scalar: int, width: int) -> list[int]:
-    """Width-``w`` non-adjacent form of a non-negative scalar, LSB first.
-
-    Digits are zero or odd with ``|d| < 2^(w-1)``, and any two non-zero
-    digits are at least ``w`` positions apart, so a left-to-right
-    evaluation performs roughly ``bits/(w+1)`` additions.
-    """
-    if scalar < 0:
-        raise ParameterError("wNAF expects a non-negative scalar")
-    if width < 2:
-        raise ParameterError("wNAF width must be at least 2")
-    digits = []
-    modulus = 1 << width
-    half = 1 << (width - 1)
-    while scalar:
-        if scalar & 1:
-            digit = scalar & (modulus - 1)
-            if digit >= half:
-                digit -= modulus
-            scalar -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        scalar >>= 1
-    return digits
+__all__ = ["FixedBaseTable", "wnaf_digits"]
 
 
 class FixedBaseTable:

@@ -16,15 +16,6 @@ class ParameterError(ReproError):
     """A parameter set, curve, or group was configured inconsistently."""
 
 
-class BackendUnavailableError(ParameterError):
-    """A field-arithmetic backend was requested but cannot be used here.
-
-    Raised when an explicitly named backend (e.g. ``"gmpy2"``) is not
-    installed in this environment.  The ``"auto"`` selector never raises
-    this — it probes and falls back instead.
-    """
-
-
 class NotOnCurveError(ReproError):
     """Coordinates handed to a curve do not satisfy its equation."""
 

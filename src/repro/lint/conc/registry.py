@@ -118,11 +118,6 @@ READ_ONLY_GLOBALS = frozenset(
     {
         "_TASKS",  # repro.parallel task registry, populated at import
         "PARAMETER_SETS",  # repro.pairing.params, immutable after import
-        # repro.math.backend: the name -> class table is write-once at
-        # import; the per-(name, modulus) instance cache is mutable but
-        # fork-guarded by its own register_at_fork clear hook.
-        "_BACKEND_CLASSES",
-        "BACKEND_NAMES",
         "ALL_RULES",  # lint rule registry (self-analysis)
         "FLOW_RULES",
         "CONC_RULES",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.encoding import byte_length, int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, FieldMismatchError, ParameterError
-from repro.math.backend import FieldBackend, get_backend
+from repro.math.backend import FieldBackend
 from repro.math.modular import (
     cube_root_mod,
     is_quadratic_residue,
@@ -23,25 +23,18 @@ from repro.math.primes import is_probable_prime
 class PrimeField:
     """The field of integers modulo a prime ``p``.
 
-    ``backend`` selects the arithmetic provider for inversions, modular
-    powers and the pairing kernels (see :mod:`repro.math.backend`): a
-    name (``"python"``, ``"montgomery"``, ``"gmpy2"``, ``"auto"``), an
-    existing :class:`~repro.math.backend.base.FieldBackend` instance, or
-    ``None`` for the pure-python reference backend.  Elements are
-    canonical integers in ``[0, p)`` under every backend, so two fields
-    over the same modulus compare (and interoperate) equal regardless of
-    backend.
+    ``backend`` is this field's :class:`~repro.math.backend.FieldBackend`:
+    the plain-int inversion and pairing kernels for modulus ``p``.
     """
 
     __slots__ = ("p", "element_bytes", "backend")
 
-    def __init__(self, p: int, check_prime: bool = True,
-                 backend: "str | FieldBackend | None" = None):
+    def __init__(self, p: int, check_prime: bool = True):
         if check_prime and not is_probable_prime(p):
             raise ParameterError(f"field modulus {p} is not prime")
         self.p = p
         self.element_bytes = byte_length(p)
-        self.backend = get_backend("python" if backend is None else backend, p)
+        self.backend = FieldBackend(p)
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(self, value % self.p)
@@ -73,10 +66,7 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
     def __repr__(self) -> str:
-        return (
-            f"PrimeField(p~2^{self.p.bit_length()}, "
-            f"backend={self.backend.name})"
-        )
+        return f"PrimeField(p~2^{self.p.bit_length()})"
 
 
 class FieldElement:
@@ -143,9 +133,7 @@ class FieldElement:
     def __pow__(self, exponent: int) -> "FieldElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return FieldElement(
-            self.field, self.field.backend.fp_pow(self.value, exponent)
-        )
+        return FieldElement(self.field, pow(self.value, exponent, self.field.p))
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field.backend.fp_inv(self.value))

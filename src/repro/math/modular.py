@@ -7,6 +7,8 @@ that works outside a fixed field.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ParameterError
 
 
@@ -27,14 +29,48 @@ def inverse_mod(a: int, modulus: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``modulus``.
 
     Raises :class:`ParameterError` when ``a`` is not invertible.
+    CPython's ``pow(a, -1, m)`` is about 2x faster than a pure-python
+    extended Euclid at 512 bits, with identical output.
     """
     a %= modulus
     if a == 0:
         raise ParameterError("0 has no inverse")
-    g, x, _ = egcd(a, modulus)
-    if g != 1:
-        raise ParameterError(f"{a} is not invertible modulo {modulus} (gcd={g})")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        g = math.gcd(a, modulus)
+        raise ParameterError(
+            f"{a} is not invertible modulo {modulus} (gcd={g})"
+        ) from None
+
+
+def wnaf_digits(scalar: int, width: int) -> list[int]:
+    """Width-``w`` non-adjacent form of a non-negative integer, LSB first.
+
+    Digits are zero or odd with ``|d| < 2^(w-1)``, and any two non-zero
+    digits are at least ``w`` positions apart, so a left-to-right
+    evaluation performs roughly ``bits/(w+1)`` additions (or, for an
+    exponent, multiplications).  Shared by elliptic-curve scalar
+    multiplication and unitary exponentiation in ``Fp2``.
+    """
+    if scalar < 0:
+        raise ParameterError("wNAF expects a non-negative scalar")
+    if width < 2:
+        raise ParameterError("wNAF width must be at least 2")
+    digits = []
+    modulus = 1 << width
+    half = 1 << (width - 1)
+    while scalar:
+        if scalar & 1:
+            digit = scalar & (modulus - 1)
+            if digit >= half:
+                digit -= modulus
+            scalar -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        scalar >>= 1
+    return digits
 
 
 def jacobi_symbol(a: int, n: int) -> int:

@@ -28,10 +28,9 @@ __all__ = [
 class QuadraticField:
     """``Fp[u]/(u^2 - beta)`` for a quadratic non-residue ``beta``.
 
-    The field-arithmetic backend is inherited from the base field, so a
-    :class:`~repro.pairing.api.PairingGroup` constructed with
-    ``backend="montgomery"`` routes its ``Fp2`` inversions and unitary
-    exponentiations through the same provider as its ``Fp`` layer.
+    The arithmetic kernel is the base field's, so ``Fp2`` inversions,
+    unitary exponentiations and Miller-line evaluation run on the same
+    :class:`~repro.math.backend.FieldBackend` as the ``Fp`` layer.
     """
 
     __slots__ = ("base", "p", "beta", "element_bytes", "backend")
@@ -297,13 +296,9 @@ def unitary_exp(
     the ~``bits`` loop squarings each cost 2 base-field multiplications
     instead of 3.  Negative exponents conjugate the base first.
 
-    The ladder itself runs in the field's arithmetic backend
-    (:meth:`repro.math.backend.base.FieldBackend.unitary_exp`) on raw
-    coefficients: the python backend executes the identical integer
-    steps this function used to perform on ``QuadraticElement`` objects,
-    the Montgomery backend runs the same ladder in its ``R = 2^k``
-    domain, and both return exactly the element the naive
-    square-and-multiply would.
+    The ladder itself runs on raw coefficients in the field's kernel
+    (:meth:`repro.math.backend.FieldBackend.unitary_exp`) and returns
+    exactly the element the naive square-and-multiply would.
     """
     if width < 2 or width > 8:
         raise ParameterError("wNAF width must be in 2..8")

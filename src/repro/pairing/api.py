@@ -48,7 +48,7 @@ from repro.pairing.opcount import (
 from repro.pairing.miller import PrecomputedLines
 from repro.pairing.params import ParameterSet, get_parameter_set
 from repro.pairing.supersingular import FAMILY_A, SupersingularCurve
-from repro.pairing.tate import TatePairing, unitary_pow
+from repro.pairing.tate import TatePairing
 
 
 class GTElement:
@@ -192,25 +192,20 @@ class PairingGroup:
     family:
         Supersingular family, ``"A"`` (default; denominator-free Miller
         loop) or ``"B"`` (deterministic MapToPoint, general Miller loop).
-    backend:
-        Field-arithmetic backend (see :mod:`repro.math.backend`):
-        ``"python"``, ``"montgomery"``, ``"gmpy2"``, or ``"auto"``
-        (the default, also chosen for ``None``) which picks the fastest
-        available.  Every group element and wire format is byte-identical
-        across backends; only the wall clock changes.
+
+    ``backend`` is the base field's
+    :class:`~repro.math.backend.FieldBackend` (the plain-int pairing
+    kernels) and ``backend_name`` its constant name.
     """
 
-    def __init__(self, params="ss512", family: str = FAMILY_A,
-                 backend: str | None = None):
+    def __init__(self, params="ss512", family: str = FAMILY_A):
         if isinstance(params, str):
             params = get_parameter_set(params)
         if not isinstance(params, ParameterSet):
             raise ParameterError("params must be a name or ParameterSet")
         self.params = params
         self.family = family
-        self.ssc = SupersingularCurve(
-            params, family, backend="auto" if backend is None else backend
-        )
+        self.ssc = SupersingularCurve(params, family)
         self.backend = self.ssc.fp.backend
         self.backend_name = self.backend.name
         self.tate = TatePairing(self.ssc)
@@ -454,8 +449,6 @@ class PairingGroup:
     # ------------------------------------------------------------------
     # Shipping precomputed lines between processes.  Layout:
     #   count(4) || per entry: point(point_bytes) || lines_len(4) || lines
-    # Everything is canonical bytes, so a blob exported under one
-    # backend installs identically under any other.
     # ------------------------------------------------------------------
 
     def export_pairing_lines(self, points) -> bytes:
@@ -591,7 +584,7 @@ class PairingGroup:
         """
         if not (value * value.conjugate()).is_one():
             raise NotInSubgroupError("GT element is not unitary")
-        if not unitary_pow(value, self.q).is_one():
+        if not unitary_exp(value, self.q).is_one():
             raise NotInSubgroupError("GT element is outside the order-q subgroup")
         return value
 
@@ -621,7 +614,4 @@ class PairingGroup:
         return hash(("PairingGroup", self.params.name, self.family))
 
     def __repr__(self) -> str:
-        return (
-            f"PairingGroup({self.params.name!r}, family={self.family!r}, "
-            f"backend={self.backend_name!r})"
-        )
+        return f"PairingGroup({self.params.name!r}, family={self.family!r})"

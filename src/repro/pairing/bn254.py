@@ -30,6 +30,7 @@ Everything runs on the same generic substrate as the Type-1 engine:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -66,16 +67,11 @@ def _digest(tag: str, *parts: bytes) -> bytes:
 class BN254:
     """The BN254 pairing engine: groups, generators, ate pairing."""
 
-    def __init__(self, backend=None):
+    def __init__(self):
         p = FIELD_MODULUS
         self.p = p
         self.q = CURVE_ORDER
-        # The backend accelerates G1 (Fp) arithmetic — fixed-base table
-        # normalization rides its batch inversion.  The Fp12 tower has
-        # its own arithmetic and is unaffected; outputs are identical
-        # for every backend.
-        self.fp = PrimeField(p, check_prime=False, backend=backend)
-        self.backend_name = self.fp.backend.name
+        self.fp = PrimeField(p, check_prime=False)
         # Fp2 = Fp[i]/(i² + 1); Fp12 = Fp[w]/(w¹² − 18w⁶ + 82).
         self.fq2 = PolyExtensionField(p, (1, 0))
         self.fq12 = PolyExtensionField(
@@ -256,23 +252,10 @@ class BN254:
         return b"".join(blocks)[:length]
 
     def __repr__(self) -> str:
-        return f"BN254(backend={self.backend_name!r})"
+        return "BN254()"
 
 
-_ENGINES: dict[str, BN254] = {}
-
-
-def bn254(backend: str | None = None) -> BN254:
-    """The shared BN254 engine (construction is cheap but not free).
-
-    ``backend`` selects the Fp arithmetic backend (see
-    :mod:`repro.math.backend`); ``None`` keeps the pure-python default.
-    Engines are cached per resolved backend name.
-    """
-    from repro.math.backend import resolve_backend_name
-
-    name = resolve_backend_name("python" if backend is None else backend)
-    engine = _ENGINES.get(name)
-    if engine is None:
-        engine = _ENGINES[name] = BN254(backend=name)
-    return engine
+@functools.cache
+def bn254() -> BN254:
+    """The shared BN254 engine (construction is cheap but not free)."""
+    return BN254()

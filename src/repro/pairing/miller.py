@@ -1,11 +1,15 @@
 """Miller's algorithm for evaluating ``f_{q,P}`` at extension-field points.
 
-Two variants are provided:
+Two paths are provided:
 
-* :func:`miller_loop_denominator_free` — the BKLS/GHS-optimized loop that
-  drops every vertical-line factor.  Correct whenever those factors land
-  in a proper subfield killed by the final exponentiation, which holds
-  for family A (distorted x-coordinates stay in ``Fp``).
+* Family A (record-then-evaluate): :func:`record_line_sequence_fast`
+  walks ``P``'s double/add chain in Jacobian coordinates and keeps only
+  the line coefficients — every one in ``Fp``, because family A keeps
+  ``P`` and all loop intermediates on ``E(Fp)`` — with two batch
+  inversions in total.  :func:`evaluate_line_sequence` then evaluates
+  them at a distorted point in the field kernel, dropping every
+  vertical-line factor (BKLS/GHS): those land in ``Fp*`` and are killed
+  by the final exponentiation.
 
 * :func:`miller_loop_general` — the textbook loop evaluating ``f_{q,P}``
   at the divisor ``(S + R) - (R)`` for an auxiliary point ``R``, keeping
@@ -13,10 +17,10 @@ Two variants are provided:
   Correct for any supersingular family, and the only correct choice for
   family B.  This is the "slow but general" arm of the E12 ablation.
 
-Throughout, ``P`` and the intermediate points ``V`` live on ``E(Fp)``
-(affine coordinates, slopes in ``Fp``) while the evaluation points live
-on ``E(Fp2)``; mixed-field line evaluation embeds the ``Fp`` slope via
-``QuadraticElement``'s integer coercion.
+In the general loop ``P`` and the intermediate points ``V`` live on
+``E(Fp)`` (affine coordinates, slopes in ``Fp``) while the evaluation
+points live on ``E(Fp2)``; mixed-field line evaluation embeds the ``Fp``
+slope via ``QuadraticElement``'s integer coercion.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from repro.encoding import int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, ParameterError
 from repro.ec.point import CurvePoint
+from repro.math.backend import LINE as _LINE, ONE as _ONE, VERT as _VERT
 from repro.math.quadratic import QuadraticElement, QuadraticField
 
 
@@ -56,77 +61,25 @@ def _vertical_value(v: CurvePoint, s_x, fp2: QuadraticField):
     return s_x - fp2.from_base(v.x)
 
 
-def miller_loop_denominator_free(
-    p_point: CurvePoint,
-    s_point: CurvePoint,
-    order: int,
-    fp2: QuadraticField,
-) -> QuadraticElement:
-    """``f_{order, P}(S)`` with all vertical-line factors omitted.
-
-    ``p_point`` must have the given (odd prime) order on ``E(Fp)``;
-    ``s_point`` lives on ``E(Fp2)``.  The result is only meaningful after
-    the reduced-Tate final exponentiation, which is what kills the
-    omitted subfield factors.
-    """
-    if s_point.is_infinity:
-        raise ParameterError("cannot evaluate Miller function at infinity")
-    s_x, s_y = s_point.x, s_point.y
-    f = fp2.one()
-    v = p_point
-    for bit_index in range(order.bit_length() - 2, -1, -1):
-        f = f.square() * _line_value(v, v, s_x, s_y, fp2)
-        v = v.double()
-        if (order >> bit_index) & 1:
-            f = f * _line_value(v, p_point, s_x, s_y, fp2)
-            v = v + p_point
-    if not v.is_infinity:
-        raise ParameterError("point order does not divide the loop order")
-    return f
-
-
-_LINE = 0   # chord/tangent: (s_y - yv) - (s_x - xv) * slope
-_VERT = 1   # vertical:      s_x - xv
-_ONE = 2    # line through infinity: constant 1
-
-
 class PrecomputedLines:
     """The line coefficients ``f_{order, P}`` touches, in loop order.
 
     Every coefficient lives in ``Fp`` (family A keeps ``P`` and all loop
-    intermediates on ``E(Fp)``), so a step is four ints: an is-add flag
-    plus ``(kind, x_V, y_V, slope)``.  Evaluating the sequence against a
-    second argument replays :func:`miller_loop_denominator_free` exactly
-    — same field operations in the same order — minus all the point
-    arithmetic and slope inversions, which is where the per-pairing
-    savings come from.
-
-    ``steps`` are always *canonical* integers in ``[0, p)`` regardless
-    of the evaluating backend; a backend that wants its own
-    representation (Montgomery residues, ``mpz``) converts once through
-    :meth:`backend_steps` and the converted tuple is cached here per
-    backend name.  The canonical steps are also what
-    :meth:`to_bytes` serializes, so a sequence recorded under one
-    backend rehydrates identically under any other.
+    intermediates on ``E(Fp)``), so a step is canonical ints in
+    ``[0, p)``: an is-add flag plus ``(kind, x_V, y_V, slope)``.
+    Evaluating the sequence against a second argument costs ``Fp2``
+    squarings and multiplications only — no point arithmetic and no
+    slope inversions, which is where the per-pairing savings come from.
     """
 
-    __slots__ = ("steps", "order", "_backend_steps")
+    __slots__ = ("steps", "order")
 
     def __init__(self, steps: tuple, order: int):
         self.steps = steps
         self.order = order
-        self._backend_steps: dict[str, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def backend_steps(self, backend) -> tuple:
-        """The steps in ``backend``'s kernel representation (cached)."""
-        converted = self._backend_steps.get(backend.name)
-        if converted is None:
-            converted = backend.convert_steps(self.steps)
-            self._backend_steps[backend.name] = converted
-        return converted
 
     # ------------------------------------------------------------------
     # Wire format: ship recorded lines to worker processes instead of
@@ -184,57 +137,21 @@ class PrecomputedLines:
         return cls(tuple(steps), order)
 
 
-def _line_coefficients(v: CurvePoint, w: CurvePoint):
-    """The ``(kind, x_V, y_V, slope)`` record for the line through V, W."""
-    if v.is_infinity or w.is_infinity:
-        return (_ONE, 0, 0, 0)
-    if v.x == w.x and v.y != w.y:
-        return (_VERT, v.x.value, 0, 0)
-    if v.x == w.x:
-        if v.y.is_zero():
-            return (_VERT, v.x.value, 0, 0)
-        slope = (v.x.square() * 3 + v.curve.a) / (v.y * 2)
-    else:
-        slope = (w.y - v.y) / (w.x - v.x)
-    return (_LINE, v.x.value, v.y.value, slope.value)
-
-
-def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:
-    """Run the denominator-free loop once, keeping only line coefficients.
-
-    ``p_point`` must have the given (odd prime) order on ``E(Fp)``.  The
-    returned sequence replays against any number of second arguments via
-    :func:`evaluate_line_sequence`.
-    """
-    steps = []
-    v = p_point
-    for bit_index in range(order.bit_length() - 2, -1, -1):
-        steps.append((False,) + _line_coefficients(v, v))
-        v = v.double()
-        if (order >> bit_index) & 1:
-            steps.append((True,) + _line_coefficients(v, p_point))
-            v = v + p_point
-    if not v.is_infinity:
-        raise ParameterError("point order does not divide the loop order")
-    return PrecomputedLines(tuple(steps), order)
-
-
 def record_line_sequence_fast(
     p_point: CurvePoint, order: int
 ) -> PrecomputedLines:
-    """:func:`record_line_sequence` with batch inversion — same steps.
+    """Record ``P``'s Miller-loop line coefficients with batch inversion.
 
-    The affine recorder pays one extended-Euclid inversion per loop
-    step (the slope denominator), which dominates a cold pairing.  This
-    recorder walks the identical double/add schedule in Jacobian
-    coordinates on raw integers, batch-normalizes every intermediate
-    ``V`` to affine with ONE field inversion
-    (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`), then
+    ``p_point`` must have the given (odd prime) order on ``E(Fp)``;
+    anything else raises :class:`ParameterError`.  An affine recorder
+    would pay one field inversion per loop step (the slope denominator),
+    which dominates a cold pairing.  This one walks the double/add
+    schedule in Jacobian coordinates on raw integers, batch-normalizes
+    every intermediate ``V`` to affine with ONE field inversion
+    (:meth:`~repro.math.backend.FieldBackend.fp_batch_inv`), then
     resolves all slope denominators with a second batch inversion.
-    Affine coordinates are canonical, so the recorded ``steps`` tuple is
-    byte-identical to :func:`record_line_sequence`'s — the two are
-    interchangeable everywhere, only the recording cost differs
-    (~8x cheaper at ss512).
+    Affine coordinates are canonical, so the steps equal the affine
+    recorder's (the test suite keeps that recorder as an oracle).
     """
     field = p_point.curve.field
     backend = field.backend
@@ -345,25 +262,17 @@ def evaluate_line_sequence(
     s_point: CurvePoint,
     fp2: QuadraticField,
 ) -> QuadraticElement:
-    """``f_{order, P}(S)`` from cached coefficients.
+    """``f_{order, P}(S)`` from cached coefficients, vertical lines dropped.
 
-    Performs the same ``Fp2`` squarings and multiplications as
-    :func:`miller_loop_denominator_free` (so the reduced pairing value
-    is bit-for-bit identical) but no curve arithmetic.  The integer loop
-    runs in the field's arithmetic backend
-    (:meth:`~repro.math.backend.base.FieldBackend.eval_line_sequence`):
-    the python backend executes the seed library's raw mod-``p`` loop
-    verbatim, the Montgomery backend the lazy-reduction REDC kernel —
-    canonical in, canonical out, identical bytes either way.
+    One ``Fp2`` squaring per doubling step and one line multiplication
+    per step, no curve arithmetic; the integer loop runs in the field
+    kernel (:meth:`~repro.math.backend.FieldBackend.eval_line_sequence`).
     """
     if s_point.is_infinity:
         raise ParameterError("cannot evaluate Miller function at infinity")
-    backend = fp2.backend
-    fa, fb = backend.eval_line_sequence(
-        lines.backend_steps(backend),
-        *backend.convert_coords(
-            s_point.x.a, s_point.x.b, s_point.y.a, s_point.y.b
-        ),
+    fa, fb = fp2.backend.eval_line_sequence(
+        lines.steps,
+        s_point.x.a, s_point.x.b, s_point.y.a, s_point.y.b,
         fp2.beta,
     )
     return QuadraticElement(fp2, fa, fb)
@@ -376,7 +285,7 @@ def evaluate_line_sequences_product(
     """``Π f_{order, P_i}(S_i)^{±1}`` with ONE shared squaring chain.
 
     ``tasks`` is a sequence of ``(lines, s_point, conjugate)`` triples:
-    cached coefficients from :func:`record_line_sequence`, the ``E(Fp2)``
+    cached coefficients from :func:`record_line_sequence_fast`, the ``E(Fp2)``
     evaluation point, and whether this factor enters the product
     conjugated (the unitary trick for exponent ``-1`` — after the final
     exponentiation ``FE(conj(f)) == FE(f)^-1``, so a conjugation here
@@ -394,7 +303,6 @@ def evaluate_line_sequences_product(
     tasks = list(tasks)
     if not tasks:
         return fp2.one()
-    backend = fp2.backend
     order = tasks[0][0].order
     length = len(tasks[0][0].steps)
     prepared = []
@@ -407,16 +315,14 @@ def evaluate_line_sequences_product(
         if s_point.is_infinity:
             raise ParameterError("cannot evaluate Miller function at infinity")
         prepared.append((
-            lines.backend_steps(backend),
-            *backend.convert_coords(
-                s_point.x.a, s_point.x.b, s_point.y.a, s_point.y.b
-            ),
+            lines.steps,
+            s_point.x.a, s_point.x.b, s_point.y.a, s_point.y.b,
             conjugate,
         ))
     # Same integer-level kernel as evaluate_line_sequence, with one
     # shared accumulator: each step squares once and folds in every
     # task's line value (conjugation = negating the ``b`` coefficient).
-    fa, fb = backend.eval_line_sequences_product(prepared, fp2.beta)
+    fa, fb = fp2.backend.eval_line_sequences_product(prepared, fp2.beta)
     return QuadraticElement(fp2, fa, fb)
 
 

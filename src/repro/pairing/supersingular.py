@@ -42,8 +42,7 @@ FAMILY_B = "B"
 class SupersingularCurve:
     """A supersingular curve/distortion-map pair over a parameter set."""
 
-    def __init__(self, params: ParameterSet, family: str = FAMILY_A,
-                 backend=None):
+    def __init__(self, params: ParameterSet, family: str = FAMILY_A):
         if family not in (FAMILY_A, FAMILY_B):
             raise ParameterError(f"unknown curve family {family!r}")
         self.params = params
@@ -52,7 +51,7 @@ class SupersingularCurve:
         self.cofactor = params.c
         self.p = params.p
 
-        self.fp = PrimeField(params.p, check_prime=False, backend=backend)
+        self.fp = PrimeField(params.p, check_prime=False)
         if family == FAMILY_A:
             if params.p % 4 != 3:
                 raise ParameterError("family A needs p % 4 == 3")

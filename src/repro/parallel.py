@@ -127,13 +127,7 @@ def shard_secret(blob: bytes) -> bytes:
 
 
 def _group_spec(group: PairingGroup) -> tuple:
-    """A picklable, worker-reconstructable description of ``group``.
-
-    Includes the backend *name* so workers compute with the same
-    arithmetic provider as the parent (results are byte-identical
-    across backends regardless; matching them keeps per-item worker
-    cost — and therefore the auto_workers model — honest).
-    """
+    """A picklable, worker-reconstructable description of ``group``."""
     params = group.params
     return (
         params.name,
@@ -142,7 +136,6 @@ def _group_spec(group: PairingGroup) -> tuple:
         params.p,
         params.security_bits,
         group.family,
-        group.backend_name,
     )
 
 
@@ -150,13 +143,13 @@ def _group_from_spec(spec: tuple) -> PairingGroup:
     """Rebuild (once per worker process) the group a spec describes."""
     group = _WORKER_GROUPS.get(spec)
     if group is None:
-        name, q, c, p, security_bits, family, backend = spec
+        name, q, c, p, security_bits, family = spec
         params = PARAMETER_SETS.get(name)
         if params is None or (params.q, params.c, params.p) != (q, c, p):
             params = ParameterSet(
                 name=name, q=q, c=c, p=p, security_bits=security_bits
             )
-        group = PairingGroup(params, family, backend=backend)
+        group = PairingGroup(params, family)
         _WORKER_GROUPS[spec] = group
     return group
 
@@ -282,7 +275,7 @@ def parallel_map(
         A name from :func:`task_names`.
     group:
         The parent's pairing group; workers rebuild an equivalent one
-        from its parameter set (same family and backend).
+        from its parameter set (same family).
     setup:
         Task-wide context (already byte-encoded), handed to every chunk.
     payloads:

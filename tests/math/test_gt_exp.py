@@ -71,16 +71,30 @@ class TestCyclotomicSquare:
 
 class TestUnitaryExp:
     @pytest.mark.parametrize(
-        "exponent", [0, 1, 2, 3, 5, 17, 255, 256, 2**20 + 3]
+        "exponent", [0, 1, 2, 3, 5, 17, 255, 256, 2**20, 2**20 + 3, 2**61 - 2]
     )
     def test_small_exponents(self, g, exponent):
         assert unitary_exp(g, exponent) == g ** exponent
 
-    @pytest.mark.parametrize("exponent", [-1, -2, -17, -(2**30 + 5)])
+    @pytest.mark.parametrize("exponent", [-1, -2, -5, -17, -(2**30 + 5)])
     def test_negative_exponents_use_conjugate(self, g, exponent):
         assert unitary_exp(g, exponent) == (g ** -exponent).conjugate()
+        assert unitary_exp(g, exponent) == (g ** -exponent).inverse()
         assert unitary_exp(g, exponent) * unitary_exp(g, -exponent) == \
             g.field.one()
+
+    @pytest.mark.parametrize("exponent", [123456, -123456])
+    def test_identity_base(self, field, exponent):
+        assert unitary_exp(field.one(), exponent) == field.one()
+
+    def test_pairing_value_base(self, group):
+        """A real GT element (a reduced Tate pairing value) as the base."""
+        e = group.pair(group.generator, group.generator).value
+        for exponent in (0, 1, 2, 3, 17, 1 << 20, group.q - 1, -5):
+            expected = (
+                (e ** -exponent).inverse() if exponent < 0 else e ** exponent
+            )
+            assert unitary_exp(e, exponent) == expected
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
     def test_all_widths_agree(self, g, width):

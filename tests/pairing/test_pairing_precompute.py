@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NotInSubgroupError, ParameterError
 from repro.pairing.api import PairingGroup
-from repro.pairing.miller import record_line_sequence
+from repro.pairing.miller import record_line_sequence_fast
 from repro.pairing.opcount import PAIRING, PAIRING_PRECOMP
 
 
@@ -25,11 +25,11 @@ class TestPrecomputedLinesEngine:
         assert lines.order == group.q
 
     def test_record_ends_at_infinity_for_subgroup_point(self, group, rng):
-        # record_line_sequence itself asserts q·P = O; a non-subgroup
-        # order must be rejected rather than silently recorded.
+        # The recorder itself asserts q·P = O; a non-subgroup order
+        # must be rejected rather than silently recorded.
         p = group.random_point(rng)
         with pytest.raises(ParameterError):
-            record_line_sequence(p, group.q - 1)
+            record_line_sequence_fast(p, group.q - 1)
 
     def test_family_b_rejects_precompute(self, group_b, rng):
         with pytest.raises(ParameterError):

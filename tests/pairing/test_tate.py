@@ -9,7 +9,7 @@ from repro.pairing.api import PairingGroup
 from repro.pairing.miller import miller_loop_general
 from repro.pairing.params import get_parameter_set
 from repro.pairing.supersingular import SupersingularCurve
-from repro.pairing.tate import TatePairing, unitary_pow
+from repro.pairing.tate import TatePairing
 
 
 class TestPairingProperties:
@@ -101,22 +101,6 @@ class TestMillerVariantsAgree:
             )
             slow = tate.final_exponentiation(f)
             assert fast == slow
-
-
-class TestUnitaryPow:
-    def test_matches_plain_pow(self, group, rng):
-        e = group.pair(group.generator, group.generator)
-        value = e.value
-        for exponent in (0, 1, 2, 3, 17, 1 << 20, group.q - 1):
-            assert unitary_pow(value, exponent) == value ** exponent
-
-    def test_negative_exponent(self, group):
-        e = group.pair(group.generator, group.generator).value
-        assert unitary_pow(e, -5) == (e ** 5).inverse()
-
-    def test_identity_base(self, group):
-        one = group.ssc.fp2.one()
-        assert unitary_pow(one, 123456) == one
 
 
 class TestAcrossParameterSets:

@@ -79,14 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "still goes to stdout so CI logs stay readable)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse/index modules with N worker processes (default: 1); "
-        "output is byte-identical to a sequential run",
-    )
-    parser.add_argument(
         "--self-time-budget",
         type=float,
         metavar="SECONDS",
@@ -165,13 +157,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     if args.write_baseline:
-        findings, _, _ = lint_paths(args.paths, jobs=max(1, args.jobs))
+        findings, _, _ = lint_paths(args.paths)
         Path(args.baseline).write_text(format_baseline(findings))
         print(f"wrote {len(findings)} grandfathered finding(s) to {args.baseline}")
         return 0
 
     if args.update_baseline:
-        findings, _, _ = lint_paths(args.paths, jobs=max(1, args.jobs))
+        findings, _, _ = lint_paths(args.paths)
         try:
             added, removed = update_baseline(args.baseline, findings)
         except ValueError as exc:
@@ -188,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-    report = run(args.paths, baseline, select=select, jobs=max(1, args.jobs))
+    report = run(args.paths, baseline, select=select)
 
     over_budget = (
         args.self_time_budget is not None and report.elapsed > args.self_time_budget

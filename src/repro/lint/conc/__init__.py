@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.lint.conc.analysis import (
     CONC_RULE_IDS,
     CONC_RULES,
-    analyze_concurrency,
+    ConcurrencyAnalysis,
 )
 
-__all__ = ["CONC_RULES", "CONC_RULE_IDS", "analyze_concurrency"]
+__all__ = ["CONC_RULES", "CONC_RULE_IDS", "ConcurrencyAnalysis"]

@@ -45,11 +45,14 @@ from repro.lint.conc.effects import (
     FunctionEffects,
     ModuleState,
     function_effects,
+    is_dispatch_call,
+    is_pool_dispatch,
     scan_module_state,
 )
+from repro.lint.dataflow import RuleMeta, WholeProgramPass, clip, terminal_name
 from repro.lint.findings import Finding
-from repro.lint.flow.analysis import FlowRuleMeta, ProgramAnalysis
-from repro.lint.flow.callgraph import FunctionInfo
+from repro.lint.flow.analysis import TaintAnalysis
+from repro.lint.flow.callgraph import FunctionInfo, ProgramIndex
 from repro.lint.flow.lattice import SECRET
 from repro.lint.flow import registry as freg
 
@@ -59,8 +62,8 @@ RP303 = "RP303"
 RP304 = "RP304"
 RP305 = "RP305"
 
-CONC_RULES: tuple[FlowRuleMeta, ...] = (
-    FlowRuleMeta(
+CONC_RULES: tuple[RuleMeta, ...] = (
+    RuleMeta(
         RP301,
         "fork-duplicated-rng",
         "worker-reachable code draws from the stdlib `random` module "
@@ -71,7 +74,7 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
         "inside workers, or guard the cache with an os.register_at_fork "
         "reseed hook",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP302,
         "shared-mutable-in-worker",
         "worker-reachable code reads or writes module/class-level "
@@ -82,7 +85,7 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
         "write-once at import time (read-only whitelist), or register "
         "an os.register_at_fork reset hook",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP303,
         "secret-over-pickle",
         "a secret value crosses a pickle/task-shard boundary to worker "
@@ -92,7 +95,7 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
         "wrap the encoded secret in repro.parallel.shard_secret (bytes "
         "only), or derive a per-shard key first",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP304,
         "fork-unsafe-lazy-init",
         "process-global state is first-touch initialized by code that "
@@ -102,7 +105,7 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
         "initialize eagerly at import, or register an "
         "os.register_at_fork hook that resets the global in the child",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP305,
         "nondeterministic-chunk-order",
         "worker results are merged through set/dict iteration order or "
@@ -114,8 +117,6 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
 )
 
 CONC_RULE_IDS = tuple(meta.id for meta in CONC_RULES)
-_CONC_NAMES = {meta.id: meta.name for meta in CONC_RULES}
-_CONC_HINTS = {meta.id: meta.hint for meta in CONC_RULES}
 
 # Attribute-call terminals excluded from call-graph edges: generic
 # container/codec method names that would otherwise resolve (name-based)
@@ -125,83 +126,37 @@ _GENERIC_ATTR_CALLS = creg.MUTATING_METHODS | frozenset(
      "join", "split", "close", "hexdigest", "digest"}
 )
 
-_MAX_EXPR = 60
 
+class ConcurrencyAnalysis(WholeProgramPass):
+    """One whole-program fork-safety pass over a solved taint analysis
+    (RP303 reads its return summaries)."""
 
-def _terminal(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+    RULES = CONC_RULES
 
-
-def _own_nodes(root: ast.AST):
-    """The nodes belonging to *this* function (or module top level):
-    in source order, never descending into nested def/class bodies —
-    those are indexed as their own functions.  Decorator expressions of
-    a skipped def still belong to the enclosing scope (they execute
-    there)."""
-    for child in ast.iter_child_nodes(root):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for dec in child.decorator_list:
-                yield dec
-                yield from _own_nodes(dec)
-            continue
-        if isinstance(child, ast.ClassDef):
-            # Class bodies execute at definition time in this scope,
-            # but their method bodies do not.
-            yield from _own_nodes(child)
-            continue
-        yield child
-        yield from _own_nodes(child)
-
-
-def _is_pool_dispatch(call: ast.Call) -> bool:
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return False
-    if func.attr not in creg.POOL_DISPATCH_METHODS:
-        return False
-    base = _terminal(func.value)
-    return base is not None and bool(
-        freg.name_tokens(base) & creg.POOL_RECEIVER_TOKENS
-    )
-
-
-class ConcurrencyAnalysis:
-    """One whole-program fork-safety pass over a solved flow analysis."""
-
-    def __init__(
-        self,
-        modules: "list[tuple[str, str, ast.Module, list[str]]]",
-        program: ProgramAnalysis,
-    ):
-        self.program = program
-        self.index = program.index
+    def __init__(self, index: ProgramIndex, taint: TaintAnalysis):
+        super().__init__(index)
+        self.taint = taint
         self.states: dict[str, ModuleState] = {
-            path: scan_module_state(path, tree)
-            for path, _pkg, tree, _lines in modules
+            module.path: scan_module_state(module.path, module.node)
+            for module in index.module_functions
         }
         self.effects: dict[int, FunctionEffects] = {}
         self.edges: dict[int, list[FunctionInfo]] = {}
         for func in self.index.all_functions:
-            state = self.states.get(func.path) or ModuleState(func.path)
+            state = self.states[func.path]
             imports = self.index.imports_of(func.path)
             self.effects[id(func)] = function_effects(func, state, imports)
             self.edges[id(func)] = self._call_edges(func)
-        self.findings: list[Finding] = []
-        self._seen: set[tuple[str, int, int, str, str]] = set()
 
     # -- call graph ----------------------------------------------------------
 
     def _call_edges(self, func: FunctionInfo) -> list[FunctionInfo]:
         edges: list[FunctionInfo] = []
         seen: set[int] = set()
-        for node in _own_nodes(func.node):
+        for node in func.own_nodes:
             if not isinstance(node, ast.Call):
                 continue
-            name = _terminal(node.func)
+            name = terminal_name(node.func)
             if name is None:
                 continue
             if (
@@ -215,8 +170,10 @@ class ConcurrencyAnalysis:
                     edges.append(callee)
         return edges
 
-    def _resolve(self, name: str) -> list[FunctionInfo]:
-        if self.index.is_class(name):
+    def _resolve(self, name: str | None) -> list[FunctionInfo]:
+        if name is None:
+            return []
+        if name in self.index.classes:
             return [
                 init
                 for init in self.index.resolve_function("__init__")
@@ -226,93 +183,58 @@ class ConcurrencyAnalysis:
 
     # -- reachability --------------------------------------------------------
 
-    def _worker_roots(self) -> list[tuple[FunctionInfo, str]]:
-        roots: list[tuple[FunctionInfo, str]] = []
-        for func in self.index.all_functions:
-            node = func.node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in node.decorator_list:
-                    target = dec.func if isinstance(dec, ast.Call) else dec
-                    if _terminal(target) in creg.WORKER_DECORATORS:
-                        roots.append(
-                            (func, f"task `{func.name}` registered for the "
-                                   "worker pool")
-                        )
-                        break
-        for func in self.index.all_functions:
-            for node in _own_nodes(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                targets: list[ast.expr] = []
-                how = ""
-                if _is_pool_dispatch(node) and node.args:
-                    targets = [node.args[0]]
-                    how = f"dispatched by `{func.name}` via .{node.func.attr}"
-                elif (
-                    isinstance(node.func, (ast.Name, ast.Attribute))
-                    and _terminal(node.func) in creg.PROCESS_CLASSES
-                ):
-                    targets = [
-                        kw.value for kw in node.keywords if kw.arg == "target"
-                    ]
-                    how = f"Process target in `{func.name}`"
-                for target in targets:
-                    name = _terminal(target)
-                    if name is None:
-                        continue
-                    for callee in self._resolve(name):
-                        roots.append((callee, how))
-        return roots
+    def _roots(self) -> tuple[list[tuple[FunctionInfo, str]], ...]:
+        """(worker roots, parent roots), each with why it is a root.
 
-    def _parent_roots(self) -> list[tuple[FunctionInfo, str]]:
-        roots: list[tuple[FunctionInfo, str]] = []
+        Worker roots are registered tasks, pool dispatch targets and
+        ``Process`` targets.  Parent roots are module bodies, functions
+        that dispatch, and coroutines handed to ``create_task``/
+        ``ensure_future``: those run concurrently *in the parent* (no
+        fork), so a shard-boundary crossing or lazy global init inside
+        one is as parent-side as one on the main call path.  The
+        spawner's argument is usually a coroutine *call*
+        (``loop.create_task(self._scheduler())``); the entry point is
+        that call's callee.
+        """
+        tasks, dispatched, parents, spawned = [], [], [], []
         for func in self.index.all_functions:
             if func.name == "<module>":
-                roots.append((func, "module import"))
-                continue
-            for node in _own_nodes(func.node):
-                if isinstance(node, ast.Call) and (
-                    _is_pool_dispatch(node)
-                    or (
-                        isinstance(node.func, ast.Name)
-                        and node.func.id in creg.SHARD_BOUNDARY_CALLS
-                    )
-                ):
-                    roots.append(
-                        (func, f"parent-side dispatch in `{func.name}`")
-                    )
-                    break
-        roots.extend(self._async_task_roots())
-        return roots
-
-    def _async_task_roots(self) -> list[tuple[FunctionInfo, str]]:
-        """Coroutines handed to ``create_task``/``ensure_future``.
-
-        They run concurrently *in the parent* (no fork), so they join
-        parent-reachability: a shard-boundary crossing or lazy global
-        init inside an async task is as parent-side as one on the main
-        call path.  The spawner's argument is usually a coroutine
-        *call* (``loop.create_task(self._scheduler())``); the entry
-        point is that call's callee.
-        """
-        roots: list[tuple[FunctionInfo, str]] = []
-        for func in self.index.all_functions:
-            for node in _own_nodes(func.node):
-                if not isinstance(node, ast.Call) or not node.args:
+                parents.append((func, "module import"))
+            elif any(
+                terminal_name(dec.func if isinstance(dec, ast.Call) else dec)
+                in creg.WORKER_DECORATORS
+                for dec in func.node.decorator_list
+            ):
+                tasks.append(
+                    (func, f"task `{func.name}` registered for the worker pool")
+                )
+            dispatches = False
+            for node in func.own_nodes:
+                if not isinstance(node, ast.Call):
                     continue
-                if _terminal(node.func) not in creg.ASYNC_TASK_SPAWNERS:
+                dispatches = dispatches or is_dispatch_call(node)
+                name = terminal_name(node.func)
+                if is_pool_dispatch(node) and node.args:
+                    why = f"dispatched by `{func.name}` via .{name}"
+                    targets, into = [node.args[0]], dispatched
+                elif name in creg.PROCESS_CLASSES:
+                    why = f"Process target in `{func.name}`"
+                    targets = [kw.value for kw in node.keywords if kw.arg == "target"]
+                    into = dispatched
+                elif name in creg.ASYNC_TASK_SPAWNERS and node.args:
+                    why = f"async task spawned in `{func.name}`"
+                    target = node.args[0]
+                    targets = [target.func if isinstance(target, ast.Call) else target]
+                    into = spawned
+                else:
                     continue
-                target = node.args[0]
-                if isinstance(target, ast.Call):
-                    target = target.func
-                name = _terminal(target)
-                if name is None:
-                    continue
-                for callee in self._resolve(name):
-                    roots.append(
-                        (callee, f"async task spawned in `{func.name}`")
+                for target in targets:
+                    into.extend(
+                        (callee, why) for callee in self._resolve(terminal_name(target))
                     )
-        return roots
+            if dispatches and func.name != "<module>":
+                parents.append((func, f"parent-side dispatch in `{func.name}`"))
+        return tasks + dispatched, parents + spawned
 
     def _reach(
         self, roots: list[tuple[FunctionInfo, str]]
@@ -329,35 +251,13 @@ class ConcurrencyAnalysis:
                     queue.append((callee, why))
         return reached
 
-    # -- emission ------------------------------------------------------------
-
-    def _emit(
-        self, func: FunctionInfo, node: ast.AST, rule: str, message: str
-    ) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (func.path, line, col, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                name=_CONC_NAMES[rule],
-                path=func.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=_CONC_HINTS[rule],
-            )
-        )
-
     def run(self) -> list[Finding]:
-        worker = self._reach(self._worker_roots())
-        parent = self._reach(self._parent_roots())
+        worker_roots, parent_roots = self._roots()
+        worker = self._reach(worker_roots)
+        parent = self._reach(parent_roots)
         for func in self.index.all_functions:
             effects = self.effects[id(func)]
-            state = self.states.get(func.path) or ModuleState(func.path)
+            state = self.states[func.path]
             in_worker = worker.get(id(func))
             if in_worker is not None:
                 why = in_worker[1]
@@ -378,7 +278,7 @@ class ConcurrencyAnalysis:
             if effect.subject in seen:
                 continue
             seen.add(effect.subject)
-            self._emit(
+            self.emit(
                 func,
                 effect.node,
                 RP301,
@@ -408,7 +308,7 @@ class ConcurrencyAnalysis:
             if exempt(effect.subject) or effect.subject in written:
                 continue
             written.add(effect.subject)
-            self._emit(
+            self.emit(
                 func,
                 effect.node,
                 RP302,
@@ -427,7 +327,7 @@ class ConcurrencyAnalysis:
             ):
                 continue
             read.add(subject)
-            self._emit(
+            self.emit(
                 func,
                 effect.node,
                 RP302,
@@ -443,7 +343,7 @@ class ConcurrencyAnalysis:
             if effect.subject in seen:
                 continue
             seen.add(effect.subject)
-            self._emit(
+            self.emit(
                 func,
                 effect.node,
                 RP304,
@@ -456,7 +356,7 @@ class ConcurrencyAnalysis:
 
     def _rule_303(self, func: FunctionInfo) -> None:
         secret_locals: set[str] = set()
-        for node in _own_nodes(func.node):
+        for node in func.own_nodes:
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -478,7 +378,7 @@ class ConcurrencyAnalysis:
                     for kw in node.keywords
                     if kw.arg and kw.arg not in creg.BOUNDARY_CONTROL_KWARGS
                 ]
-            elif _is_pool_dispatch(node):
+            elif is_pool_dispatch(node):
                 boundary = f".{node.func.attr}"
                 payloads = [("argument", arg) for arg in node.args[1:]] + [
                     (f"argument `{kw.arg}`", kw.value)
@@ -486,7 +386,7 @@ class ConcurrencyAnalysis:
                     if kw.arg and kw.arg not in creg.BOUNDARY_CONTROL_KWARGS
                 ]
             elif (
-                _terminal(node.func) in creg.PROCESS_CLASSES
+                terminal_name(node.func) in creg.PROCESS_CLASSES
                 and node.keywords
             ):
                 boundary = "Process"
@@ -499,10 +399,8 @@ class ConcurrencyAnalysis:
                 continue
             for label, expr in payloads:
                 if self._expr_secret(expr, secret_locals):
-                    rendered = ast.unparse(expr)
-                    if len(rendered) > _MAX_EXPR:
-                        rendered = rendered[: _MAX_EXPR - 1] + "…"
-                    self._emit(
+                    rendered = clip(ast.unparse(expr), 60)
+                    self.emit(
                         func,
                         expr,
                         RP303,
@@ -522,7 +420,7 @@ class ConcurrencyAnalysis:
                 expr.value, secret_locals
             )
         if isinstance(expr, ast.Call):
-            name = _terminal(expr.func)
+            name = terminal_name(expr.func)
             if name in (
                 creg.SHARD_SANITIZERS
                 | freg.SANITIZER_CALLS
@@ -542,7 +440,7 @@ class ConcurrencyAnalysis:
                 return True
             if name is not None:
                 for callee in self._resolve(name):
-                    summary = self.program.summary_of(callee)
+                    summary = self.taint.summary_of(callee)
                     if summary.returns.level >= SECRET:
                         return True
             return False
@@ -554,20 +452,10 @@ class ConcurrencyAnalysis:
 
     def _rule_305(self, func: FunctionInfo, effects: FunctionEffects) -> None:
         for effect in effects.merges:
-            self._emit(
+            self.emit(
                 func,
                 effect.node,
                 RP305,
                 f"{effect.detail} in `{func.name}` — output order depends "
                 "on OS scheduling, not input order",
             )
-
-
-def analyze_concurrency(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-    program: ProgramAnalysis,
-) -> list[Finding]:
-    """Run the fork-safety pass over parsed modules, reusing the solved
-    flow analysis (its index and taint summaries).  Returns findings
-    without fingerprints — the engine attaches those."""
-    return ConcurrencyAnalysis(modules, program).run()

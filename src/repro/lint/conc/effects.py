@@ -26,7 +26,9 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.lint.conc import registry as creg
+from repro.lint.dataflow import terminal_name
 from repro.lint.flow.callgraph import FunctionInfo, ModuleImports
+from repro.lint.flow.registry import name_tokens
 
 
 # A mutable-container literal or constructor at module/class level.
@@ -36,12 +38,29 @@ _CONTAINER_CALLS = frozenset(
 )
 
 
-def _terminal(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def _is_pool_receiver(expr: ast.AST) -> bool:
+    base = terminal_name(expr)
+    return base is not None and bool(name_tokens(base) & creg.POOL_RECEIVER_TOKENS)
+
+
+def is_pool_dispatch(call: ast.Call) -> bool:
+    """``pool.map(fn, ...)`` and friends on a pool/executor receiver."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in creg.POOL_DISPATCH_METHODS
+        and _is_pool_receiver(func.value)
+    )
+
+
+def is_dispatch_call(value: ast.expr) -> bool:
+    """A pool dispatch or a call of a task-shard boundary function."""
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Name):
+        return func.id in creg.SHARD_BOUNDARY_CALLS
+    return is_pool_dispatch(value)
 
 
 def _is_mutable_value(value: ast.expr | None) -> bool:
@@ -49,14 +68,14 @@ def _is_mutable_value(value: ast.expr | None) -> bool:
                           ast.ListComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        return _terminal(value.func) in _CONTAINER_CALLS
+        return terminal_name(value.func) in _CONTAINER_CALLS
     return False
 
 
 def _is_stateful_rng_value(value: ast.expr | None) -> bool:
     if not isinstance(value, ast.Call):
         return False
-    name = _terminal(value.func)
+    name = terminal_name(value.func)
     return (
         name in creg.STATEFUL_RNG_FACTORIES
         and name not in creg.FORK_SAFE_RNG_FACTORIES
@@ -127,7 +146,7 @@ def _collect_fork_guards(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if _terminal(node.func) not in creg.AT_FORK_REGISTRARS:
+        if terminal_name(node.func) not in creg.AT_FORK_REGISTRARS:
             continue
         values = [kw.value for kw in node.keywords] + list(node.args)
         for value in values:
@@ -428,7 +447,7 @@ class _EffectVisitor(ast.NodeVisitor):
                     probed = self._probe_of(sub.value)
                     if probed is not None:
                         self.probe_locals[target.id] = probed
-                    if self._is_dispatch_call(sub.value):
+                    if is_dispatch_call(sub.value):
                         self.dispatch_locals.add(target.id)
             # Writes.
             written = self._write_target(sub)
@@ -547,29 +566,11 @@ class _EffectVisitor(ast.NodeVisitor):
                     )
                 )
 
-    def _is_dispatch_call(self, value: ast.expr) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        func = value.func
-        if isinstance(func, ast.Name):
-            return func.id in creg.SHARD_BOUNDARY_CALLS
-        if isinstance(func, ast.Attribute):
-            from repro.lint.flow.registry import name_tokens
-
-            if func.attr in creg.POOL_DISPATCH_METHODS and isinstance(
-                func.value, (ast.Name, ast.Attribute)
-            ):
-                base = _terminal(func.value)
-                return base is not None and bool(
-                    name_tokens(base) & creg.POOL_RECEIVER_TOKENS
-                )
-        return False
-
     def _scan_merge(self, sub: ast.AST) -> None:
         if not isinstance(sub, ast.Call):
             return
         func = sub.func
-        name = _terminal(func)
+        name = terminal_name(func)
         # set(results) / frozenset(results) over a dispatch result —
         # bound to a local or wrapping the dispatch call directly.
         if (
@@ -581,7 +582,7 @@ class _EffectVisitor(ast.NodeVisitor):
                     isinstance(sub.args[0], ast.Name)
                     and sub.args[0].id in self.dispatch_locals
                 )
-                or self._is_dispatch_call(sub.args[0])
+                or is_dispatch_call(sub.args[0])
             )
         ):
             self.effects.merges.append(
@@ -595,15 +596,9 @@ class _EffectVisitor(ast.NodeVisitor):
             )
         # imap_unordered / as_completed: completion-order result streams.
         elif name in creg.UNORDERED_DISPATCH:
-            receiver_ok = True
-            if isinstance(func, ast.Attribute) and name == "imap_unordered":
-                from repro.lint.flow.registry import name_tokens
-
-                base = _terminal(func.value)
-                receiver_ok = base is not None and bool(
-                    name_tokens(base) & creg.POOL_RECEIVER_TOKENS
-                )
-            if receiver_ok:
+            if not (
+                isinstance(func, ast.Attribute) and name == "imap_unordered"
+            ) or _is_pool_receiver(func.value):
                 self.effects.merges.append(
                     Effect(
                         "merge",

@@ -27,10 +27,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.conc import analyze_concurrency
+from repro.lint.conc import ConcurrencyAnalysis
 from repro.lint.findings import Finding, attach_fingerprints
-from repro.lint.flow import analyze_program, solve_program
-from repro.lint.proto import analyze_protocols
+from repro.lint.flow import TaintAnalysis
+from repro.lint.flow.callgraph import ProgramIndex
+from repro.lint.proto import ProtocolAnalysis
 from repro.lint.rules import ALL_RULES, ModuleContext, Rule
 
 _WAIVER = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
@@ -177,7 +178,6 @@ def _drop_shadowed(findings: list[Finding]) -> list[Finding]:
 def analyze_modules(
     modules: list[ParsedModule],
     rules: tuple[Rule, ...] = ALL_RULES,
-    flow: bool = True,
 ) -> tuple[list[Finding], int, list[str]]:
     """Both analysis phases plus waiver/fingerprint bookkeeping.
 
@@ -186,18 +186,18 @@ def analyze_modules(
     by_path: dict[str, list[Finding]] = {module.path: [] for module in modules}
     for module in modules:
         by_path[module.path].extend(_module_rule_findings(module, rules))
-    if flow:
-        parsed = [(m.path, m.package_path, m.tree, m.lines) for m in modules]
-        # One index + one summary fixpoint feeds all whole-program
-        # passes: the taint report (RP2xx), the fork-safety /
-        # concurrency report (RP3xx), and the typestate protocol
-        # report (RP4xx).
-        program = solve_program(parsed)
-        whole_program = analyze_program(parsed, program)
-        whole_program += analyze_concurrency(parsed, program)
-        whole_program += analyze_protocols(parsed, program)
-        for finding in whole_program:
-            by_path.setdefault(finding.path, []).append(finding)
+    # One program index feeds all whole-program passes: the taint
+    # report (RP2xx), the fork-safety / concurrency report (RP3xx, which
+    # reads the solved taint summaries), and the typestate protocol
+    # report (RP4xx).
+    index = ProgramIndex([(m.path, m.package_path, m.tree, m.lines) for m in modules])
+    taint = TaintAnalysis(index)
+    for finding in [
+        *taint.run(),
+        *ConcurrencyAnalysis(index, taint).run(),
+        *ProtocolAnalysis(index).run(),
+    ]:
+        by_path.setdefault(finding.path, []).append(finding)
 
     findings: list[Finding] = []
     waived = 0
@@ -238,7 +238,6 @@ def lint_source(
     path: str,
     rules: tuple[Rule, ...] = ALL_RULES,
     package_path: str | None = None,
-    flow: bool = True,
 ) -> tuple[list[Finding], int]:
     """Lint one module's text; returns (findings, waived_count).
 
@@ -248,7 +247,7 @@ def lint_source(
     intra-module interprocedural flows are still found.
     """
     module = parse_module(source, path, package_path)
-    findings, waived, _ = analyze_modules([module], rules, flow=flow)
+    findings, waived, _ = analyze_modules([module], rules)
     return findings, waived
 
 
@@ -261,45 +260,20 @@ def iter_python_files(paths: list[str | Path]):
             yield path
 
 
-def _parse_one(posix_path: str) -> ParsedModule:
-    """Top-level (picklable) parse worker for the ``jobs`` pool."""
-    return parse_module(
-        Path(posix_path).read_text(encoding="utf-8"), posix_path
-    )
-
-
-def parse_paths(paths: list[str | Path], jobs: int = 1) -> list[ParsedModule]:
-    """Discover and parse every requested file.
-
-    ``jobs > 1`` parses in a process pool: parsing dominates a lint
-    run's startup on wide trees, trees are embarrassingly parallel, and
-    ``executor.map`` preserves submission order, so the module list —
-    and therefore every downstream report — is byte-identical to the
-    sequential one.  Any pool failure (sandboxed CI without semaphores,
-    interpreter shutdown races) falls back to sequential parsing rather
-    than failing the gate.
-    """
-    files = [file_path.as_posix() for file_path in iter_python_files(paths)]
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(files))
-            ) as executor:
-                return list(executor.map(_parse_one, files, chunksize=8))
-        except OSError:
-            pass
-    return [_parse_one(file_path) for file_path in files]
+def parse_paths(paths: list[str | Path]) -> list[ParsedModule]:
+    """Discover and parse every requested file, in discovery order."""
+    return [
+        parse_module(file_path.read_text(encoding="utf-8"), file_path.as_posix())
+        for file_path in iter_python_files(paths)
+    ]
 
 
 def lint_paths(
     paths: list[str | Path],
     rules: tuple[Rule, ...] = ALL_RULES,
-    jobs: int = 1,
 ) -> tuple[list[Finding], int, int]:
     """Lint files/trees; returns (findings, waived_count, files_checked)."""
-    modules = parse_paths(paths, jobs=jobs)
+    modules = parse_paths(paths)
     findings, waived, _ = analyze_modules(modules, rules)
     return findings, waived, len(modules)
 
@@ -329,7 +303,6 @@ def run(
     paths: list[str | Path],
     baseline: set[str] | None = None,
     select: tuple[str, ...] | None = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Full pipeline used by the CLI and the pytest gate.
 
@@ -342,7 +315,7 @@ def run(
     import time
 
     started = time.perf_counter()
-    modules = parse_paths(paths, jobs=jobs)
+    modules = parse_paths(paths)
     findings, waived, unused = analyze_modules(modules)
     baseline = set(baseline or set())
     if select:

@@ -28,13 +28,7 @@ and how to declare new sources/sinks/sanitizers.
 
 from __future__ import annotations
 
-from repro.lint.flow.analysis import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    FlowRuleMeta,
-    analyze_program,
-    solve_program,
-)
+from repro.lint.flow.analysis import FLOW_RULE_IDS, FLOW_RULES, TaintAnalysis
 from repro.lint.flow.lattice import CLEAN, DERIVED, SECRET, Taint
 
 __all__ = [
@@ -42,9 +36,7 @@ __all__ = [
     "DERIVED",
     "FLOW_RULES",
     "FLOW_RULE_IDS",
-    "FlowRuleMeta",
     "SECRET",
     "Taint",
-    "analyze_program",
-    "solve_program",
+    "TaintAnalysis",
 ]

@@ -1,15 +1,10 @@
-"""Whole-program driver: summary fixpoint, reporting, RP201–RP204.
+"""The taint pass: RP201–RP204 on the shared dataflow interpreter.
 
-``analyze_program`` takes every parsed module at once, builds the
-program index, iterates per-function summaries to a fixpoint (the
-lattice is finite and summaries grow monotonically, so this
-terminates; in practice two or three passes suffice for the tree's
-call-chain depth), and then runs a reporting pass that emits findings
-wherever *concretely* secret values reach sinks — including call sites
-whose taint disappears into a helper that leaks several hops later.
-
-Module top-level code is analyzed as a parameterless pseudo-function,
-so scripts under ``examples/`` and ``benchmarks/`` are covered too.
+:class:`TaintAnalysis` iterates ``FunctionTransfer`` summaries to a
+fixpoint over the whole program (the shared ``DataflowPass``), then
+runs a reporting walk that emits findings wherever *concretely* secret
+values reach sinks — including call sites whose taint disappears into
+a helper that leaks several hops later.
 
 A separate structural scan flags secret-named fields of ``@dataclass``
 definitions whose generated ``__repr__`` would render them (the
@@ -21,47 +16,27 @@ class installs a redacted one.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
+from repro.lint.dataflow import DataflowPass, RuleMeta
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import FunctionInfo, ProgramIndex
+from repro.lint.flow.callgraph import FunctionInfo
 from repro.lint.flow.transfer import (
     RP201,
     RP202,
     RP203,
     RP204,
     FunctionTransfer,
-    Summary,
 )
 from repro.lint.flow import registry as reg
 
-_MAX_FIXPOINT_PASSES = 12
-
-# Which package top-dirs each flow rule patrols; None = everywhere.
-# "" is the top_dir of files outside the repro package (examples,
-# benchmarks, scripts) — rendering and third-party escapes matter
-# there, branch timing and serialization discipline do not.
+# Which package top-dirs each flow rule patrols; RP201 patrols
+# everywhere.  "" is the top_dir of files outside the repro package
+# (examples, benchmarks, scripts) — rendering and third-party escapes
+# matter there, branch timing and serialization discipline do not.
 _CRYPTO_DIRS = ("core", "crypto", "ec", "pairing", "math", "baselines")
-FLOW_RULE_SCOPES: dict[str, tuple[str, ...] | None] = {
-    RP201: None,
-    RP202: _CRYPTO_DIRS,
-    RP203: _CRYPTO_DIRS,
-    RP204: (*_CRYPTO_DIRS, ""),
-}
 
-
-@dataclass(frozen=True)
-class FlowRuleMeta:
-    """CLI/SARIF-facing metadata for one flow rule family."""
-
-    id: str
-    name: str
-    rationale: str
-    hint: str
-
-
-FLOW_RULES: tuple[FlowRuleMeta, ...] = (
-    FlowRuleMeta(
+FLOW_RULES: tuple[RuleMeta, ...] = (
+    RuleMeta(
         RP201,
         "secret-flow-sink",
         "a secret (or pre-KDF derived) value flows — possibly through "
@@ -70,7 +45,7 @@ FLOW_RULES: tuple[FlowRuleMeta, ...] = (
         "log a length/placeholder instead, or KDF the value first; for "
         "dataclasses holding keys, redact with repro.crypto.redacted_repr",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP202,
         "secret-branch",
         "control flow (if/while/assert/ternary) depends on a secret "
@@ -78,7 +53,7 @@ FLOW_RULES: tuple[FlowRuleMeta, ...] = (
         "restructure to constant-time selection, or waive with a "
         "justification when the branch reveals only negligible information",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP203,
         "secret-serialize",
         "a secret or pre-KDF pairing value is serialized or persisted "
@@ -86,7 +61,7 @@ FLOW_RULES: tuple[FlowRuleMeta, ...] = (
         "pass the value through repro.crypto.kdf.derive_key or "
         "PairingGroup.mask_bytes before it leaves the process",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP204,
         "taint-escape",
         "a secret value is passed to an untracked third-party callable "
@@ -97,89 +72,20 @@ FLOW_RULES: tuple[FlowRuleMeta, ...] = (
 )
 
 FLOW_RULE_IDS = tuple(meta.id for meta in FLOW_RULES)
-_FLOW_NAMES = {meta.id: meta.name for meta in FLOW_RULES}
-_FLOW_HINTS = {meta.id: meta.hint for meta in FLOW_RULES}
 
 
-class ProgramAnalysis:
-    """The object handed to transfer functions: index + summaries + emit."""
+class TaintAnalysis(DataflowPass):
+    """Secret-taint summaries, their fixpoint, and the RP2xx report."""
 
-    def __init__(self, index: ProgramIndex):
-        self.index = index
-        self.summaries: dict[int, Summary] = {}
-        self.findings: list[Finding] = []
-        self._seen: set[tuple[str, int, int, str, str]] = set()
-        # (pseudo FunctionInfo, module tree) pairs, filled by
-        # solve_program — kept so reporting passes (flow *and* conc)
-        # can revisit module top-level code.
-        self.pseudo_functions: list[tuple[FunctionInfo, ast.Module]] = []
+    RULES = FLOW_RULES
+    SCOPES = {RP202: _CRYPTO_DIRS, RP203: _CRYPTO_DIRS, RP204: (*_CRYPTO_DIRS, "")}
+    TRANSFER = FunctionTransfer
 
-    # -- transfer-facing API ------------------------------------------------
-
-    def resolve_function(self, name: str) -> list[FunctionInfo]:
-        return self.index.resolve_function(name)
-
-    def is_class(self, name: str) -> bool:
-        return self.index.is_class(name)
-
-    def imports_of(self, path: str):
-        return self.index.imports_of(path)
-
-    def summary_of(self, func: FunctionInfo) -> Summary:
-        return self.summaries.get(id(func), Summary())
-
-    def emit(self, func: FunctionInfo, node: ast.AST, rule: str, message: str) -> None:
-        scopes = FLOW_RULE_SCOPES.get(rule)
-        if scopes is not None and func.top_dir not in scopes:
-            return
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (func.path, line, col, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                name=_FLOW_NAMES[rule],
-                path=func.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=_FLOW_HINTS[rule],
-            )
-        )
-
-    # -- driver -------------------------------------------------------------
-
-    def solve(self) -> None:
-        """Iterate summaries to a fixpoint."""
-        for _ in range(_MAX_FIXPOINT_PASSES):
-            changed = False
-            for func in self.index.all_functions:
-                summary = FunctionTransfer(func, self, report=False).run()
-                if summary != self.summaries.get(id(func)):
-                    self.summaries[id(func)] = summary
-                    changed = True
-            if not changed:
-                return
-
-    def report(self) -> None:
-        for func in self.index.all_functions:
-            FunctionTransfer(func, self, report=True).run()
-
-
-def _module_pseudo_function(
-    path: str, package_path: str, tree: ast.Module, lines: list[str]
-) -> FunctionInfo:
-    return FunctionInfo(
-        name="<module>",
-        qualname=f"{package_path or path}::<module>",
-        path=path,
-        package_path=package_path,
-        node=tree,
-        lines=lines,
-    )
+    def run(self) -> list[Finding]:
+        super().run()
+        for pseudo in self.index.module_functions:
+            _check_dataclass_reprs(self, pseudo)
+        return self.findings
 
 
 def _dataclass_call_suppresses_repr(decorator: ast.expr) -> tuple[bool, bool]:
@@ -221,10 +127,8 @@ def _field_repr_suppressed(value: ast.expr | None) -> bool:
     return False
 
 
-def _check_dataclass_reprs(
-    analysis: ProgramAnalysis, pseudo: FunctionInfo, tree: ast.Module
-) -> None:
-    for node in ast.walk(tree):
+def _check_dataclass_reprs(analysis: TaintAnalysis, pseudo: FunctionInfo) -> None:
+    for node in ast.walk(pseudo.node):
         if not isinstance(node, ast.ClassDef):
             continue
         is_dataclass = repr_suppressed = False
@@ -268,43 +172,3 @@ def _check_dataclass_reprs(
                 f"secret field `{field_name}` of dataclass `{node.name}` is "
                 "rendered by the generated __repr__",
             )
-
-
-def solve_program(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-) -> ProgramAnalysis:
-    """Index the modules and iterate summaries to a fixpoint.
-
-    ``modules`` is a list of ``(path, package_path, tree, lines)``.
-    The returned analysis carries the solved summary table but no
-    findings yet; hand it to :func:`analyze_program` for the flow
-    report, or to ``repro.lint.conc.analyze_concurrency`` — both reuse
-    the one index and fixpoint instead of recomputing them.
-    """
-    index = ProgramIndex()
-    analysis = ProgramAnalysis(index)
-    for path, package_path, tree, lines in modules:
-        index.add_module(path, package_path, tree, lines)
-        pseudo = _module_pseudo_function(path, package_path, tree, lines)
-        index.all_functions.append(pseudo)
-        analysis.pseudo_functions.append((pseudo, tree))
-    analysis.solve()
-    return analysis
-
-
-def analyze_program(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-    program: ProgramAnalysis | None = None,
-) -> list[Finding]:
-    """Run the interprocedural taint analysis over parsed modules.
-
-    Returns flow findings (without fingerprints — the engine attaches
-    those alongside the per-module rule findings).  ``program`` may be
-    a pre-solved analysis from :func:`solve_program`; omitted, one is
-    solved here.
-    """
-    analysis = program or solve_program(modules)
-    analysis.report()
-    for pseudo, tree in analysis.pseudo_functions:
-        _check_dataclass_reprs(analysis, pseudo, tree)
-    return analysis.findings

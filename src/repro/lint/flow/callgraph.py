@@ -34,6 +34,8 @@ class FunctionInfo:
     params: list[str] = field(default_factory=list)
     is_method: bool = False  # first parameter is self/cls
     class_name: str | None = None
+    # The nodes of *this* scope in source order (see ``_own_nodes``).
+    own_nodes: list[ast.AST] = field(default_factory=list)
 
     @property
     def top_dir(self) -> str:
@@ -94,20 +96,55 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in [*args.posonlyargs, *args.args]]
 
 
-class ProgramIndex:
-    """Functions and classes of the analyzed tree, indexed by name."""
+def _own_nodes(root: ast.AST, out: list[ast.AST]) -> list[ast.AST]:
+    """Append the nodes belonging to *this* function (or module top
+    level) to ``out``: pre-order, never descending into nested def
+    bodies — those are indexed as their own functions.  Decorator
+    expressions of a skipped def still belong to the enclosing scope
+    (they execute there), and so do class bodies, though not their
+    methods."""
+    for child in ast.iter_child_nodes(root):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in child.decorator_list:
+                out.append(dec)
+                _own_nodes(dec, out)
+        elif isinstance(child, ast.ClassDef):
+            _own_nodes(child, out)
+        else:
+            out.append(child)
+            _own_nodes(child, out)
+    return out
 
-    def __init__(self) -> None:
+
+class ProgramIndex:
+    """Functions and classes of the analyzed tree, indexed by name.
+
+    ``modules`` is a list of ``(path, package_path, tree, lines)``.
+    Module top-level code is indexed as a parameterless pseudo-function
+    named ``<module>`` after the module's own functions, so scripts
+    under ``examples/`` and ``benchmarks/`` are analyzed too.
+    """
+
+    def __init__(self, modules: list[tuple[str, str, ast.Module, list[str]]]) -> None:
         self.functions: dict[str, list[FunctionInfo]] = {}
         self.classes: dict[str, list[ClassInfo]] = {}
         self.imports: dict[str, ModuleImports] = {}  # keyed by module path
         self.all_functions: list[FunctionInfo] = []
-
-    def add_module(
-        self, path: str, package_path: str, tree: ast.Module, lines: list[str]
-    ) -> None:
-        self.imports[path] = collect_imports(tree)
-        self._walk(path, package_path, tree, lines, class_name=None)
+        self.module_functions: list[FunctionInfo] = []
+        for path, package_path, tree, lines in modules:
+            self.imports[path] = collect_imports(tree)
+            self._walk(path, package_path, tree, lines, class_name=None)
+            pseudo = FunctionInfo(
+                name="<module>",
+                qualname=f"{package_path or path}::<module>",
+                path=path,
+                package_path=package_path,
+                node=tree,
+                lines=lines,
+                own_nodes=_own_nodes(tree, []),
+            )
+            self.all_functions.append(pseudo)
+            self.module_functions.append(pseudo)
 
     def _walk(
         self,
@@ -136,6 +173,7 @@ class ProgramIndex:
                     params=params,
                     is_method=is_method,
                     class_name=class_name,
+                    own_nodes=_own_nodes(child, []),
                 )
                 self.functions.setdefault(child.name, []).append(info)
                 self.all_functions.append(info)
@@ -154,9 +192,6 @@ class ProgramIndex:
 
     def resolve_function(self, name: str) -> list[FunctionInfo]:
         return self.functions.get(name, [])
-
-    def is_class(self, name: str) -> bool:
-        return name in self.classes
 
     def imports_of(self, path: str) -> ModuleImports:
         return self.imports.get(path) or ModuleImports()

@@ -1,16 +1,18 @@
-"""Per-function transfer: abstract interpretation of one function body.
+"""The taint lattice's transfer functions on the shared interpreter.
 
-The analyzer walks a function's statements in order, mapping local
-names to :class:`~repro.lint.flow.lattice.Taint` values.  Branches are
-analyzed on copies of the environment and joined; loop bodies run twice
-(enough for a join-lattice of height 2).  The output is a
-:class:`Summary` — the function's interprocedural contract:
+:class:`~repro.lint.dataflow.Transfer` walks a function's statements,
+mapping local names to :class:`~repro.lint.flow.lattice.Taint` values;
+this subclass says what expressions evaluate to and where the sinks
+are.  The output is a :class:`Summary` — the function's
+interprocedural contract:
 
 * ``returns`` — taint of the return value, with the parameter indices
   that flow into it;
 * ``param_sinks`` — parameters that reach a sink *inside* the function
   (directly or through further calls), so a call site passing a secret
-  argument is reported even when the leak is several hops away.
+  argument is reported even when the leak is several hops away.  Each
+  entry keeps the *shortest* call chain to its sink, which is what
+  makes the summary fixpoint converge around recursive call cycles.
 
 Findings are emitted only on the reporting pass (after the summary
 fixpoint), and only when a value is *concretely* tainted — a parameter
@@ -22,12 +24,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.lint.flow.callgraph import FunctionInfo
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.flow.analysis import ProgramAnalysis
+from repro.lint.dataflow import Transfer, clip, env_key, terminal_name
 from repro.lint.flow.lattice import (
     CLEAN,
     DERIVED,
@@ -49,62 +47,52 @@ RP204 = "RP204"
 # branches and generic helper calls quiet.
 RULE_THRESHOLD = {RP201: DERIVED, RP202: SECRET, RP203: DERIVED, RP204: SECRET}
 
-_MAX_DESC = 90
-
 
 @dataclass
 class Summary:
     """A function's interprocedural contract."""
 
     returns: Taint = TAINT_CLEAN
-    # (param index, rule id) -> (call depth to the sink, description).
-    # The description is the *original* sink's, never re-composed, so
-    # summary entries are stable and the fixpoint terminates.
+    # (param index, rule id) -> (shortest call depth to the sink,
+    # description).  The description is the *original* sink's, never
+    # re-composed, so summary entries are stable and the fixpoint
+    # terminates.
     param_sinks: dict[tuple[int, str], tuple[int, str]] = field(default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Summary)
-            and self.returns == other.returns
-            and self.param_sinks == other.param_sinks
-        )
-
-
-def _clip(desc: str) -> str:
-    return desc if len(desc) <= _MAX_DESC else desc[: _MAX_DESC - 1] + "…"
 
 
 def _qualify(level: int) -> str:
     return "secret" if level >= SECRET else "secret-derived"
 
 
-class FunctionTransfer:
+class FunctionTransfer(Transfer):
     """Analyze one function body against the current summary table."""
 
-    def __init__(self, func: FunctionInfo, program: "ProgramAnalysis", report: bool):
-        self.func = func
-        self.program = program
-        self.report = report
-        self.env: dict[str, Taint] = {}
+    BOTTOM = TAINT_CLEAN
+    SUMMARY = Summary
+
+    def __init__(self, func, analysis, report: bool):
+        super().__init__(func, analysis, report)
         self.returns = TAINT_CLEAN
         self.param_sinks: dict[tuple[int, str], tuple[int, str]] = {}
-        self.param_index = {name: i for i, name in enumerate(func.params)}
         for i, name in enumerate(func.params):
             level = SECRET if reg.is_secret_name(name) else CLEAN
             self.env[name] = Taint(level, frozenset(((i, True),)))
 
-    # -- driver -------------------------------------------------------------
-
-    def run(self) -> Summary:
-        body = getattr(self.func.node, "body", [])
-        self.exec_block(body, self.env)
+    def summary(self) -> Summary:
         return Summary(self.returns, dict(self.param_sinks))
+
+    def join(self, a: Taint, b: Taint) -> Taint:
+        return a.join(b)
 
     # -- findings and summary entries ---------------------------------------
 
-    def _emit(self, node: ast.AST, rule: str, message: str) -> None:
-        if self.report:
-            self.program.emit(self.func, node, rule, message)
+    def _record(self, dep: int, rule: str, depth: int, desc: str) -> None:
+        """Parameter ``dep`` reaches a ``rule`` sink ``depth`` calls down.
+        The shortest chain wins, ties going to the smaller description,
+        so the entry does not depend on the order calls are met in."""
+        known = self.param_sinks.get((dep, rule))
+        if known is None or (depth, desc) < known:
+            self.param_sinks[(dep, rule)] = (depth, desc)
 
     def _sink(
         self, node: ast.AST, rule: str, taint: Taint, happened: str
@@ -112,134 +100,41 @@ class FunctionTransfer:
         """A tainted value reached a sink described by ``happened``."""
         threshold = RULE_THRESHOLD[rule]
         if taint.level >= threshold:
-            self._emit(node, rule, f"{_qualify(taint.level)} value {happened}")
+            self.emit(node, rule, f"{_qualify(taint.level)} value {happened}")
         elif taint.direct_deps():
             # Only *direct* flows become summary entries: rendering a
             # neutral field of an object that also holds a key is not a
             # leak of the key.
-            desc = _clip(f"{happened} in `{self.func.name}`")
+            desc = clip(f"{happened} in `{self.func.name}`")
             for dep in taint.direct_deps():
-                self.param_sinks.setdefault((dep, rule), (0, desc))
+                self._record(dep, rule, 0, desc)
 
-    # -- statements ---------------------------------------------------------
+    # -- statement hooks ----------------------------------------------------
 
-    def exec_block(self, stmts: list[ast.stmt], env: dict[str, Taint]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt, env)
-
-    def exec_stmt(self, stmt: ast.stmt, env: dict[str, Taint]) -> None:
-        if isinstance(
-            stmt,
-            (
-                ast.FunctionDef,
-                ast.AsyncFunctionDef,
-                ast.ClassDef,
-                ast.Import,
-                ast.ImportFrom,
-                ast.Global,
-                ast.Nonlocal,
-                ast.Pass,
-                ast.Break,
-                ast.Continue,
-            ),
-        ):
-            return
-        if isinstance(stmt, ast.Assign):
-            taint = self.eval(stmt.value, env)
-            for target in stmt.targets:
-                self.bind(target, taint, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self.bind(stmt.target, self.eval(stmt.value, env), env)
-        elif isinstance(stmt, ast.AugAssign):
-            taint = self.eval(stmt.value, env).join(
-                self.eval(stmt.target, env, as_load=True)
+    def on_return(self, stmt: ast.Return, env: dict[str, Taint]) -> None:
+        taint = self.eval(stmt.value, env)
+        self.returns = self.returns.join(taint)
+        if reg.is_serializer_name(self.func.name):
+            self._sink(
+                stmt,
+                RP203,
+                taint,
+                f"returned from serializer `{self.func.name}` without a KDF",
             )
-            self.bind(stmt.target, taint, env)
-        elif isinstance(stmt, ast.Return):
-            taint = self.eval(stmt.value, env) if stmt.value is not None else TAINT_CLEAN
-            self.returns = self.returns.join(taint)
-            if reg.is_serializer_name(self.func.name):
-                self._sink(
-                    stmt,
-                    RP203,
-                    taint,
-                    f"returned from serializer `{self.func.name}` without a KDF",
-                )
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value, env)
-        elif isinstance(stmt, ast.If):
-            self._branch_check(stmt.test, env)
-            then_env, else_env = dict(env), dict(env)
-            self.exec_block(stmt.body, then_env)
-            self.exec_block(stmt.orelse, else_env)
-            self._merge(env, then_env, else_env)
-        elif isinstance(stmt, ast.While):
-            self._branch_check(stmt.test, env)
-            loop_env = dict(env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.orelse, loop_env)
-            self._merge(env, loop_env)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_taint = self.eval(stmt.iter, env)
-            loop_env = dict(env)
-            self.bind(stmt.target, iter_taint, loop_env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.orelse, loop_env)
-            self._merge(env, loop_env)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body, env)
-            for handler in stmt.handlers:
-                if handler.name:
-                    env[handler.name] = TAINT_CLEAN
-                self.exec_block(handler.body, env)
-            self.exec_block(stmt.orelse, env)
-            self.exec_block(stmt.finalbody, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                taint = self.eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self.bind(item.optional_vars, taint, env)
-            self.exec_block(stmt.body, env)
-        elif isinstance(stmt, ast.Raise):
-            self._check_raise(stmt, env)
-        elif isinstance(stmt, ast.Assert):
-            self._branch_check(stmt.test, env)
-            if stmt.msg is not None:
-                self._sink(
-                    stmt.msg,
-                    RP201,
-                    self.eval(stmt.msg, env),
-                    "rendered in an assert message",
-                )
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
-        elif isinstance(stmt, ast.Match):
-            self.eval(stmt.subject, env)
-            for case in stmt.cases:
-                case_env = dict(env)
-                self.exec_block(case.body, case_env)
-                self._merge(env, case_env)
 
-    def _merge(self, into: dict[str, Taint], *branches: dict[str, Taint]) -> None:
-        for branch in branches:
-            for key, value in branch.items():
-                into[key] = into.get(key, TAINT_CLEAN).join(value)
+    def branch(self, test: ast.expr, env: dict[str, Taint]):
+        self._branch_check(test, env)
+        return dict(env), dict(env)
 
     def _branch_check(self, test: ast.expr, env: dict[str, Taint]) -> None:
-        taint = self.eval(test, env)
         self._sink(
             test,
             RP202,
-            taint,
+            self.eval(test, env),
             "decides a branch (variable-time control flow on a secret)",
         )
 
-    def _check_raise(self, stmt: ast.Raise, env: dict[str, Taint]) -> None:
+    def on_raise(self, stmt: ast.Raise, env: dict[str, Taint]) -> None:
         exc = stmt.exc
         if exc is None:
             return
@@ -256,23 +151,23 @@ class FunctionTransfer:
                 "rendered into a raised exception message",
             )
 
+    def on_assert_message(self, msg: ast.expr, env: dict[str, Taint]) -> None:
+        self._sink(msg, RP201, self.eval(msg, env), "rendered in an assert message")
+
     # -- binding ------------------------------------------------------------
 
     def bind(self, target: ast.expr, taint: Taint, env: dict[str, Taint]) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = taint
-        elif isinstance(target, ast.Starred):
+        if isinstance(target, ast.Starred):
             self.bind(target.value, taint, env)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self.bind(elt, taint, env)
-        elif isinstance(target, ast.Attribute):
-            if isinstance(target.value, ast.Name):
-                env[f"{target.value.id}.{target.attr}"] = taint
         elif isinstance(target, ast.Subscript):
             if isinstance(target.value, ast.Name):
                 base = target.value.id
                 env[base] = env.get(base, TAINT_CLEAN).join(taint)
+        elif (key := env_key(target)) is not None:
+            env[key] = taint
 
     # -- expressions --------------------------------------------------------
 
@@ -281,7 +176,6 @@ class FunctionTransfer:
         node: ast.expr | None,
         env: dict[str, Taint],
         *,
-        as_load: bool = False,
         no_serialize_sinks: bool = False,
     ) -> Taint:
         if node is None:
@@ -293,11 +187,7 @@ class FunctionTransfer:
                 return env[node.id]
             return Taint(SECRET) if reg.is_secret_name(node.id) else TAINT_CLEAN
         if isinstance(node, ast.Attribute):
-            key = (
-                f"{node.value.id}.{node.attr}"
-                if isinstance(node.value, ast.Name)
-                else None
-            )
+            key = env_key(node)
             if key is not None and key in env:
                 return env[key]
             base = self.eval(node.value, env)
@@ -343,16 +233,14 @@ class FunctionTransfer:
             return join_all(
                 [self.eval(p, env) for p in (node.lower, node.upper, node.step) if p]
             )
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, env)
-        if isinstance(node, ast.Await):
+        if isinstance(node, (ast.Starred, ast.Await, ast.FormattedValue)):
             return self.eval(node.value, env)
         if isinstance(node, ast.NamedExpr):
             taint = self.eval(node.value, env)
             self.bind(node.target, taint, env)
             return taint
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            taint = self.eval(node.value, env) if node.value is not None else TAINT_CLEAN
+            taint = self.eval(node.value, env)
             self.returns = self.returns.join(taint)
             return TAINT_CLEAN
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
@@ -366,10 +254,6 @@ class FunctionTransfer:
                     self.eval(node.value, comp_env)
                 )
             return self.eval(node.elt, comp_env)
-        if isinstance(node, ast.Lambda):
-            return TAINT_CLEAN
-        if isinstance(node, ast.FormattedValue):
-            return self.eval(node.value, env)
         return TAINT_CLEAN
 
     # -- calls --------------------------------------------------------------
@@ -382,15 +266,11 @@ class FunctionTransfer:
         no_serialize_sinks: bool = False,
     ) -> Taint:
         func = node.func
-        fname = None
-        base_name = None
+        fname = terminal_name(func)
         is_attr = isinstance(func, ast.Attribute)
-        if isinstance(func, ast.Name):
-            fname = func.id
-        elif is_attr:
-            fname = func.attr
-            if isinstance(func.value, ast.Name):
-                base_name = func.value.id
+        base_name = (
+            func.value.id if is_attr and isinstance(func.value, ast.Name) else None
+        )
 
         sanitizing = fname in reg.SANITIZER_CALLS or (
             is_attr and base_name in reg.SANITIZER_MODULES
@@ -403,12 +283,11 @@ class FunctionTransfer:
         pos_taints = [
             self.eval(arg, env, no_serialize_sinks=suppress) for arg in node.args
         ]
-        kw_taints = {
-            kw.arg: self.eval(kw.value, env, no_serialize_sinks=suppress)
+        kw_taints = [
+            self.eval(kw.value, env, no_serialize_sinks=suppress)
             for kw in node.keywords
-        }
-        all_args = pos_taints + list(kw_taints.values())
-        args_join = join_all(all_args)
+        ]
+        args_join = join_all(pos_taints + kw_taints)
 
         if sanitizing:
             return TAINT_CLEAN
@@ -420,13 +299,14 @@ class FunctionTransfer:
             base = self.eval(func.value, env) if is_attr else TAINT_CLEAN
             return Taint(reg.PAIRING_LEVEL, args_join.deps | base.deps)
 
+        arg_exprs = [*node.args, *[kw.value for kw in node.keywords]]
+        arg_taints = pos_taints + kw_taints
+
         # -- rendering sinks (RP201) ----------------------------------------
         sink_label = self._render_sink_label(func, fname, base_name)
         if sink_label is not None:
-            for arg, taint in zip(node.args, pos_taints):
+            for arg, taint in zip(arg_exprs, arg_taints):
                 self._sink(arg, RP201, taint, f"passed to {sink_label}")
-            for kw, taint in zip(node.keywords, list(kw_taints.values())):
-                self._sink(kw.value, RP201, taint, f"passed to {sink_label}")
             return TAINT_CLEAN
 
         # -- persistence sinks (RP203) --------------------------------------
@@ -448,31 +328,30 @@ class FunctionTransfer:
 
         # -- calls resolved inside the analyzed program ---------------------
         base_taint = self.eval(func.value, env) if is_attr else None
-        resolved = self._apply_program_call(
-            node, fname, is_attr, base_taint, pos_taints, kw_taints, no_serialize_sinks
+        resolved = self.apply_call(
+            node,
+            fname,
+            base_taint,
+            pos_taints,
+            kw_taints,
+            env,
+            no_serialize_sinks=no_serialize_sinks,
         )
         if resolved is not None:
             return resolved
 
         # -- untracked third-party boundary (RP204) -------------------------
-        imports = self.program.imports_of(self.func.path)
+        imports = self.analysis.index.imports_of(self.func.path)
         external = (
             (not is_attr and fname is not None and imports.is_untracked(fname))
             or (is_attr and base_name is not None and imports.is_untracked(base_name))
         )
         if external:
-            for arg, taint in zip(node.args, pos_taints):
+            for arg, taint in zip(arg_exprs, arg_taints):
                 self._sink(
                     arg,
                     RP204,
                     taint,
-                    f"passed to untracked third-party call `{fname}()`",
-                )
-            for kw in node.keywords:
-                self._sink(
-                    kw.value,
-                    RP204,
-                    kw_taints[kw.arg],
                     f"passed to untracked third-party call `{fname}()`",
                 )
             return args_join
@@ -502,77 +381,42 @@ class FunctionTransfer:
                 return f"{base_name}.write()"
         return None
 
-    def _apply_program_call(
-        self,
-        node: ast.Call,
-        fname: str | None,
-        is_attr: bool,
-        base_taint: Taint | None,
-        pos_taints: list[Taint],
-        kw_taints: dict[str | None, Taint],
-        no_serialize_sinks: bool,
-    ) -> Taint | None:
-        """Apply summaries of in-program candidates; None when unresolved."""
-        if fname is None:
-            return None
-        if not is_attr and (self.program.is_class(fname) or fname == "cls"):
-            # Constructor: the instance is a *container*, tracked
-            # symbolically (non-direct deps) but not concretely — the
-            # object is not the secret it holds.  Secrets are recovered
-            # at field extraction (`kp.private`) by the name heuristics,
-            # and unredacted reprs by the structural dataclass check.
-            joined = join_all(pos_taints + list(kw_taints.values()))
-            return joined.with_level(CLEAN).demoted()
-        candidates = self.program.resolve_function(fname)
-        if is_attr:
-            usable = candidates
-        else:
-            usable = [c for c in candidates if not c.is_method] or candidates
-        if not usable:
-            return None
-        out = TAINT_CLEAN
-        for cand in usable[:8]:
-            param_taints: dict[int, Taint] = {}
-            offset = 0
-            if cand.is_method:
-                if is_attr and base_taint is not None:
-                    param_taints[0] = base_taint
-                offset = 1
-            for i, taint in enumerate(pos_taints):
-                param_taints[offset + i] = taint
-            index = {name: j for j, name in enumerate(cand.params)}
-            for kw_name, taint in kw_taints.items():
-                if kw_name is not None and kw_name in index:
-                    param_taints[index[kw_name]] = taint
-            summary = self.program.summary_of(cand)
-            for (pidx, rule), (depth, desc) in summary.param_sinks.items():
-                if no_serialize_sinks and rule == RP203:
-                    continue
-                arg_taint = param_taints.get(pidx)
-                if arg_taint is None:
-                    continue
-                if arg_taint.level >= RULE_THRESHOLD[rule]:
-                    pname = (
-                        cand.params[pidx] if pidx < len(cand.params) else f"#{pidx}"
-                    )
-                    self._emit(
-                        node,
-                        rule,
-                        f"{_qualify(arg_taint.level)} argument `{pname}` to "
-                        f"`{cand.name}()` reaches a sink {depth + 1} call(s) "
-                        f"deep in: {desc}",
-                    )
-                elif arg_taint.direct_deps():
-                    for dep in arg_taint.direct_deps():
-                        self.param_sinks.setdefault((dep, rule), (depth + 1, desc))
-            ret = Taint(summary.returns.level)
-            for pidx, direct in summary.returns.deps:
-                arg_taint = param_taints.get(pidx, TAINT_CLEAN)
-                if not direct:
-                    # Returning a neutral projection of the argument
-                    # forwards only symbolic (non-direct) flow, not the
-                    # argument's concrete taint.
-                    arg_taint = arg_taint.with_level(CLEAN).demoted()
-                ret = ret.join(arg_taint)
-            out = out.join(ret)
-        return out
+    def construct(self, values: list[Taint]) -> Taint:
+        # The instance is a *container*, tracked symbolically (non-direct
+        # deps) but not concretely — the object is not the secret it
+        # holds.  Secrets are recovered at field extraction
+        # (`kp.private`) by the name heuristics, and unredacted reprs by
+        # the structural dataclass check.
+        return join_all(values).with_level(CLEAN).demoted()
+
+    def apply_summary(
+        self, node, cand, summary: Summary, values, exprs, env, *, no_serialize_sinks
+    ) -> Taint:
+        for (pidx, rule), (depth, desc) in summary.param_sinks.items():
+            if no_serialize_sinks and rule == RP203:
+                continue
+            arg_taint = values.get(pidx)
+            if arg_taint is None:
+                continue
+            if arg_taint.level >= RULE_THRESHOLD[rule]:
+                pname = cand.params[pidx] if pidx < len(cand.params) else f"#{pidx}"
+                self.emit(
+                    node,
+                    rule,
+                    f"{_qualify(arg_taint.level)} argument `{pname}` to "
+                    f"`{cand.name}()` reaches a sink {depth + 1} call(s) "
+                    f"deep in: {desc}",
+                )
+            else:
+                for dep in arg_taint.direct_deps():
+                    self._record(dep, rule, depth + 1, desc)
+        ret = Taint(summary.returns.level)
+        for pidx, direct in summary.returns.deps:
+            arg_taint = values.get(pidx, TAINT_CLEAN)
+            if not direct:
+                # Returning a neutral projection of the argument
+                # forwards only symbolic (non-direct) flow, not the
+                # argument's concrete taint.
+                arg_taint = arg_taint.with_level(CLEAN).demoted()
+            ret = ret.join(arg_taint)
+        return ret

@@ -52,11 +52,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.conc.analysis import _own_nodes, _terminal
-from repro.lint.findings import Finding
-from repro.lint.flow.analysis import FlowRuleMeta, ProgramAnalysis
-from repro.lint.flow.callgraph import FunctionInfo
+from repro.lint.dataflow import (
+    DataflowPass,
+    RuleMeta,
+    Transfer,
+    clip,
+    env_key,
+    terminal_name,
+)
 from repro.lint.flow import registry as freg
+from repro.lint.flow.callgraph import FunctionInfo
 from repro.lint.proto import registry as preg
 
 RP401 = "RP401"
@@ -65,8 +70,8 @@ RP403 = "RP403"
 RP404 = "RP404"
 RP405 = "RP405"
 
-PROTO_RULES: tuple[FlowRuleMeta, ...] = (
-    FlowRuleMeta(
+PROTO_RULES: tuple[RuleMeta, ...] = (
+    RuleMeta(
         RP401,
         "unverified-update-use",
         "an update decoded from wire bytes reaches a cache insert, "
@@ -78,7 +83,7 @@ PROTO_RULES: tuple[FlowRuleMeta, ...] = (
         "raise`, `update.ensure_valid(...)`, or batch-verify the "
         "collection with verify_archive(...) and drop the failures",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP402,
         "unguarded-transport-await",
         "an `await` on a transport/channel round-trip is not enclosed "
@@ -87,7 +92,7 @@ PROTO_RULES: tuple[FlowRuleMeta, ...] = (
         "wrap the call: `await asyncio.wait_for(transport.request(...), "
         "timeout)` (see service.client for the Deadline idiom)",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP403,
         "untracked-task",
         "the Task returned by create_task/ensure_future is dropped — "
@@ -97,7 +102,7 @@ PROTO_RULES: tuple[FlowRuleMeta, ...] = (
         "store the task (e.g. on self), await or cancel it on the "
         "shutdown path, or hand it to a tracked task group",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP404,
         "unclassified-service-error",
         "service-layer error handling outside the transient/permanent "
@@ -107,7 +112,7 @@ PROTO_RULES: tuple[FlowRuleMeta, ...] = (
         "subclass) from repro.errors; catch the specific exception and "
         "record or re-wrap it instead of `except Exception: pass`",
     ),
-    FlowRuleMeta(
+    RuleMeta(
         RP405,
         "verify-result-discarded",
         "the boolean verdict of a verification call is never consumed "
@@ -119,12 +124,6 @@ PROTO_RULES: tuple[FlowRuleMeta, ...] = (
 )
 
 PROTO_RULE_IDS = tuple(meta.id for meta in PROTO_RULES)
-_PROTO_NAMES = {meta.id: meta.name for meta in PROTO_RULES}
-_PROTO_HINTS = {meta.id: meta.hint for meta in PROTO_RULES}
-
-_MAX_FIXPOINT_PASSES = 12
-_MAX_DESC = 90
-_MAX_CANDIDATES = 8
 
 # -- the typestate lattice ---------------------------------------------------
 
@@ -160,9 +159,16 @@ class Val:
     subjects: tuple[str, ...] = ()
 
 
-def _join_vals(a: Val | None, b: Val | None) -> Val | None:
-    if a is None or b is None:
-        return None
+def _tracked(val: Val | None) -> bool:
+    return val is not None and val.kind in (UPDATE, COLL)
+
+
+def _join(a: Val | None, b: Val | None) -> Val | None:
+    """Join two values; None (untracked) is the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
     if a.kind == VERDICT or b.kind == VERDICT:
         # A verdict merged with anything else is no longer a usable
         # verdict (which branch computed it?).
@@ -187,10 +193,6 @@ class ProtoSummary:
     param_sinks: dict[int, str] = field(default_factory=dict)
 
 
-def _clip(desc: str) -> str:
-    return desc if len(desc) <= _MAX_DESC else desc[: _MAX_DESC - 1] + "…"
-
-
 def _is_update_name(identifier: str) -> bool:
     return preg.UPDATE_NAME_MARKER in identifier.lower()
 
@@ -201,28 +203,16 @@ def _receiver_name(expr: ast.expr) -> str | None:
     node = expr
     while isinstance(node, ast.Subscript):
         node = node.value
-    return _terminal(node)
+    return terminal_name(node)
 
 
-def _env_key(expr: ast.expr) -> str | None:
-    """The environment key an expression reads/writes, if trackable."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        return f"{expr.value.id}.{expr.attr}"
-    return None
-
-
-class ProtoTransfer:
+class ProtoTransfer(Transfer):
     """Abstract interpretation of one function body over Val states."""
 
-    def __init__(
-        self, func: FunctionInfo, analysis: "ProtocolAnalysis", report: bool
-    ):
-        self.func = func
-        self.analysis = analysis
-        self.report = report
-        self.env: dict[str, Val] = {}
+    SUMMARY = ProtoSummary
+
+    def __init__(self, func, analysis, report: bool):
+        super().__init__(func, analysis, report)
         self.param_index = {name: i for i, name in enumerate(func.params)}
         for i, name in enumerate(func.params):
             if _is_update_name(name):
@@ -235,8 +225,6 @@ class ProtoTransfer:
         # until the first exit is seen.
         self._exit_verified: frozenset[int] | None = None
 
-    # -- driver -------------------------------------------------------------
-
     def run(self) -> ProtoSummary:
         # Functions named like guards are the verifier TCB: their
         # bodies implement verification (serializing updates to shard
@@ -244,10 +232,9 @@ class ProtoTransfer:
         # protocol.
         if self.func.name in preg.GUARD_DEF_NAMES:
             return ProtoSummary()
-        body = getattr(self.func.node, "body", [])
-        terminated = self.exec_block(body, self.env)
-        if not terminated:
-            self._note_exit(self.env)
+        return super().run()
+
+    def summary(self) -> ProtoSummary:
         return ProtoSummary(
             returns_update=self.returns_update,
             verifies=self._exit_verified or frozenset(),
@@ -255,13 +242,14 @@ class ProtoTransfer:
             param_sinks=dict(self.param_sinks),
         )
 
-    def _note_exit(self, env: dict[str, Val]) -> None:
+    def join(self, a: Val | None, b: Val | None) -> Val | None:
+        return _join(a, b)
+
+    def on_exit(self, env: dict[str, Val]) -> None:
         verified = frozenset(
             i
             for name, i in self.param_index.items()
-            if (val := env.get(name)) is not None
-            and val.kind in (UPDATE, COLL)
-            and val.state == VERIFIED
+            if _tracked(val := env.get(name)) and val.state == VERIFIED
         )
         if self._exit_verified is None:
             self._exit_verified = verified
@@ -270,16 +258,12 @@ class ProtoTransfer:
 
     # -- findings and summary entries ---------------------------------------
 
-    def _emit(self, node: ast.AST, rule: str, message: str) -> None:
-        if self.report:
-            self.analysis.emit(self.func, node, rule, message)
-
     def _sink(self, node: ast.AST, val: Val | None, happened: str) -> None:
         """A tracked update value reached an RP401 sink."""
-        if val is None or val.kind not in (UPDATE, COLL):
+        if not _tracked(val):
             return
         if val.state == FETCHED:
-            self._emit(
+            self.emit(
                 node,
                 RP401,
                 f"unverified update (state FETCHED) {happened} in "
@@ -287,203 +271,73 @@ class ProtoTransfer:
                 "never checked on this path",
             )
         elif val.state == PARAM:
-            desc = _clip(f"{happened} in `{self.func.name}`")
+            desc = clip(f"{happened} in `{self.func.name}`")
             for i in val.params:
                 self.param_sinks.setdefault(i, desc)
 
-    # -- statements ---------------------------------------------------------
+    # -- statement hooks ----------------------------------------------------
 
-    def exec_block(self, stmts: list[ast.stmt], env: dict[str, Val]) -> bool:
-        """Execute statements in order; True when the block definitely
-        terminates (return/raise/break/continue on every path)."""
-        for stmt in stmts:
-            if self.exec_stmt(stmt, env):
-                return True
-        return False
+    def on_return(self, stmt: ast.Return, env: dict[str, Val]) -> None:
+        val = self.eval(stmt.value, env)
+        if _tracked(val):
+            self.returns_update = (
+                val.state
+                if self.returns_update is None
+                else min(self.returns_update, val.state)
+            )
+        elif val is not None and val.kind == VERDICT:
+            self.verdict_params |= val.params
+        self.on_exit(env)
 
-    def exec_stmt(self, stmt: ast.stmt, env: dict[str, Val]) -> bool:
-        if isinstance(
-            stmt,
-            (
-                ast.FunctionDef,
-                ast.AsyncFunctionDef,
-                ast.ClassDef,
-                ast.Import,
-                ast.ImportFrom,
-                ast.Global,
-                ast.Nonlocal,
-                ast.Pass,
-            ),
-        ):
-            return False
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return True
-        if isinstance(stmt, ast.Return):
-            val = self.eval(stmt.value, env) if stmt.value is not None else None
-            if val is not None:
-                if val.kind in (UPDATE, COLL):
-                    self.returns_update = (
-                        val.state
-                        if self.returns_update is None
-                        else min(self.returns_update, val.state)
-                    )
-                elif val.kind == VERDICT:
-                    self.verdict_params |= val.params
-            self._note_exit(env)
-            return True
-        if isinstance(stmt, ast.Raise):
-            return True
-        if isinstance(stmt, ast.Assign):
-            val = self.eval(stmt.value, env)
-            for target in stmt.targets:
-                self.bind(target, val, env)
-            return False
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self.bind(stmt.target, self.eval(stmt.value, env), env)
-            return False
-        if isinstance(stmt, ast.AugAssign):
-            self.eval(stmt.value, env)
-            return False
-        if isinstance(stmt, ast.Expr):
-            self._expr_statement(stmt, env)
-            return False
-        if isinstance(stmt, ast.If):
-            return self._exec_if(stmt, env)
-        if isinstance(stmt, ast.While):
-            self.eval(stmt.test, env)
-            loop_env = dict(env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.body, loop_env)
-            self.exec_block(stmt.orelse, loop_env)
-            self._merge_into(env, loop_env)
-            return False
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._exec_for(stmt, env)
-            return False
-        if isinstance(stmt, ast.Try):
-            terminated = self.exec_block(stmt.body, env)
-            survivors: list[dict[str, Val]] = [] if terminated else [env.copy()]
-            for handler in stmt.handlers:
-                handler_env = dict(env)
-                if not self.exec_block(handler.body, handler_env):
-                    survivors.append(handler_env)
-            if not survivors:
-                return True
-            env.clear()
-            env.update(survivors[0])
-            for branch in survivors[1:]:
-                self._merge_into(env, branch)
-            self.exec_block(stmt.orelse, env)
-            self.exec_block(stmt.finalbody, env)
-            return False
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.eval(item.context_expr, env)
-            return self.exec_block(stmt.body, env)
-        if isinstance(stmt, ast.Assert):
-            for key in self._true_subjects(stmt.test, env):
-                self._verify_key(key, env)
-            return False
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
-            return False
-        if isinstance(stmt, ast.Match):
-            self.eval(stmt.subject, env)
-            for case in stmt.cases:
-                case_env = dict(env)
-                self.exec_block(case.body, case_env)
-                self._merge_into(env, case_env)
-            return False
-        return False
-
-    def _expr_statement(self, stmt: ast.Expr, env: dict[str, Val]) -> None:
-        value = stmt.value
+    def exec_expr(self, value: ast.expr, env: dict[str, Val]) -> None:
         call = value.value if isinstance(value, ast.Await) else value
-        if isinstance(call, ast.Call):
-            name = _terminal(call.func)
-            if name in preg.VERIFY_PREDICATES:
-                rendered = _clip(ast.unparse(call))
-                self._emit(
-                    call,
-                    RP405,
-                    f"verdict of `{rendered}` is discarded in "
-                    f"`{self.func.name}` — the check constrains nothing",
-                )
+        if (
+            isinstance(call, ast.Call)
+            and terminal_name(call.func) in preg.VERIFY_PREDICATES
+        ):
+            self.emit(
+                call,
+                RP405,
+                f"verdict of `{clip(ast.unparse(call))}` is discarded in "
+                f"`{self.func.name}` — the check constrains nothing",
+            )
         self.eval(value, env)
 
-    def _exec_if(self, stmt: ast.If, env: dict[str, Val]) -> bool:
+    def branch(self, test: ast.expr, env: dict[str, Val]):
+        # A verdict vouches for its subjects on the path where it is
+        # true (`if not update.verify(...): raise` verifies the else).
         then_env, else_env = dict(env), dict(env)
-        for key in self._true_subjects(stmt.test, then_env):
+        for key in self._true_subjects(test, then_env):
             self._verify_key(key, then_env)
-        for key in self._false_subjects(stmt.test, else_env):
-            self._verify_key(key, else_env)
-        then_terminated = self.exec_block(stmt.body, then_env)
-        else_terminated = self.exec_block(stmt.orelse, else_env)
-        survivors = [
-            branch
-            for branch, terminated in (
-                (then_env, then_terminated),
-                (else_env, else_terminated),
-            )
-            if not terminated
-        ]
-        if not survivors:
-            return True
-        env.clear()
-        env.update(survivors[0])
-        if len(survivors) == 2:
-            self._merge_into(env, survivors[1])
-        return False
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            for key in self._true_subjects(test.operand, else_env):
+                self._verify_key(key, else_env)
+        return then_env, else_env
 
-    def _exec_for(self, stmt: ast.For | ast.AsyncFor, env: dict[str, Val]) -> None:
-        iter_val = self.eval(stmt.iter, env)
-        loop_env = dict(env)
-        target_name = stmt.target.id if isinstance(stmt.target, ast.Name) else None
-        if (
-            iter_val is not None
-            and iter_val.kind in (UPDATE, COLL)
-            and target_name is not None
-        ):
-            loop_env[target_name] = Val(UPDATE, iter_val.state, iter_val.params)
-        self.exec_block(stmt.body, loop_env)
-        self.exec_block(stmt.body, loop_env)
-        self.exec_block(stmt.orelse, loop_env)
+    def element(self, value: Val | None) -> Val | None:
+        return Val(UPDATE, value.state, value.params) if _tracked(value) else None
+
+    def after_for(self, stmt, iter_value, loop_env, env) -> None:
         # Loop promotion: verifying the loop variable on every
         # iteration verifies the iterated collection (`for u in coll:
         # u.ensure_valid(...)` leaves coll VERIFIED).  Vacuous for an
         # empty collection, which is also vacuously safe.
-        promoted = (
-            target_name is not None
-            and iter_val is not None
-            and iter_val.kind in (UPDATE, COLL)
-            and (loop_val := loop_env.get(target_name)) is not None
+        iter_key = env_key(stmt.iter)
+        if (
+            iter_key is not None
+            and isinstance(stmt.target, ast.Name)
+            and _tracked(iter_value)
+            and (loop_val := loop_env.get(stmt.target.id)) is not None
             and loop_val.kind == UPDATE
             and loop_val.state == VERIFIED
-        )
-        iter_key = _env_key(stmt.iter)
-        self._merge_into(env, loop_env)
-        if promoted and iter_key is not None:
-            env[iter_key] = Val(iter_val.kind, VERIFIED, iter_val.params)
-
-    def _merge_into(self, into: dict[str, Val], branch: dict[str, Val]) -> None:
-        for key in set(into) | set(branch):
-            if key in into and key in branch:
-                joined = _join_vals(into[key], branch[key])
-                if joined is None:
-                    into.pop(key, None)
-                else:
-                    into[key] = joined
-            elif key in branch:
-                into[key] = branch[key]
+        ):
+            env[iter_key] = Val(iter_value.kind, VERIFIED, iter_value.params)
 
     # -- verdict consumption -------------------------------------------------
 
     def _verify_key(self, key: str, env: dict[str, Val]) -> None:
         val = env.get(key)
-        if val is not None and val.kind in (UPDATE, COLL):
+        if _tracked(val):
             env[key] = Val(val.kind, VERIFIED, val.params)
 
     def _true_subjects(self, test: ast.expr, env: dict[str, Val]) -> tuple[str, ...]:
@@ -493,12 +347,16 @@ class ProtoTransfer:
             return val.subjects
         return ()
 
-    def _false_subjects(self, test: ast.expr, env: dict[str, Val]) -> tuple[str, ...]:
-        """Subjects verified on the branch where ``test`` is false
-        (``if not update.verify(...): raise`` verifies the else path)."""
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return self._true_subjects(test.operand, env)
-        return ()
+    def _verdict(self, exprs: list[ast.expr | None], env: dict[str, Val]) -> Val:
+        """The verdict of a check whose subjects are ``exprs``."""
+        subjects: list[str] = []
+        params: frozenset[int] = frozenset()
+        for expr in exprs:
+            key = env_key(expr)
+            if key is not None and _tracked(val := env.get(key)):
+                subjects.append(key)
+                params |= val.params
+        return Val(VERDICT, params=params, subjects=tuple(subjects))
 
     # -- expressions --------------------------------------------------------
 
@@ -508,14 +366,14 @@ class ProtoTransfer:
         if isinstance(node, ast.Name):
             return env.get(node.id)
         if isinstance(node, ast.Attribute):
-            key = _env_key(node)
+            key = env_key(node)
             if key is not None and key in env:
                 return env[key]
             self.eval(node.value, env)
             return None
         if isinstance(node, ast.Call):
             return self.eval_call(node, env)
-        if isinstance(node, ast.Await):
+        if isinstance(node, (ast.Await, ast.Starred)):
             return self.eval(node.value, env)
         if isinstance(node, ast.NamedExpr):
             val = self.eval(node.value, env)
@@ -524,53 +382,27 @@ class ProtoTransfer:
         if isinstance(node, ast.Subscript):
             base = self.eval(node.value, env)
             self.eval(node.slice, env)
-            if base is not None and base.kind in (UPDATE, COLL):
-                return Val(UPDATE, base.state, base.params)
-            return None
-        if isinstance(node, ast.UnaryOp):
-            val = self.eval(node.operand, env)
-            if (
-                isinstance(node.op, ast.Not)
-                and val is not None
-                and val.kind == VERDICT
-            ):
-                # `not verdict` stays a verdict expression; consumption
-                # logic resolves polarity at the branch.
-                return None
-            return None
+            return Val(UPDATE, base.state, base.params) if _tracked(base) else None
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
             out: Val | None = None
             for elt in node.elts:
                 val = self.eval(elt, env)
-                if val is not None and val.kind in (UPDATE, COLL):
-                    elt_coll = Val(COLL, val.state, val.params)
-                    out = elt_coll if out is None else _join_vals(out, elt_coll)
+                if _tracked(val):
+                    out = _join(out, Val(COLL, val.state, val.params))
             return out
         if isinstance(node, ast.IfExp):
             self.eval(node.test, env)
-            then = self.eval(node.body, env)
-            other = self.eval(node.orelse, env)
-            if then is not None and other is not None:
-                return _join_vals(then, other)
-            return then if other is None else other
+            return _join(self.eval(node.body, env), self.eval(node.orelse, env))
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             comp_env = dict(env)
             for gen in node.generators:
                 gen_val = self.eval(gen.iter, comp_env)
-                if (
-                    gen_val is not None
-                    and gen_val.kind in (UPDATE, COLL)
-                    and isinstance(gen.target, ast.Name)
-                ):
-                    comp_env[gen.target.id] = Val(
-                        UPDATE, gen_val.state, gen_val.params
-                    )
+                if _tracked(gen_val) and isinstance(gen.target, ast.Name):
+                    comp_env[gen.target.id] = Val(UPDATE, gen_val.state, gen_val.params)
                 for cond in gen.ifs:
                     self.eval(cond, comp_env)
             elt_val = self.eval(node.elt, comp_env)
-            if elt_val is not None and elt_val.kind in (UPDATE, COLL):
-                return Val(COLL, elt_val.state, elt_val.params)
-            return None
+            return Val(COLL, elt_val.state, elt_val.params) if _tracked(elt_val) else None
         if isinstance(node, ast.DictComp):
             comp_env = dict(env)
             for gen in node.generators:
@@ -578,47 +410,33 @@ class ProtoTransfer:
             self.eval(node.key, comp_env)
             self.eval(node.value, comp_env)
             return None
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                self.eval(value, env)
-            return None
-        if isinstance(node, (ast.BinOp, ast.Compare)):
+        if isinstance(node, (ast.BoolOp, ast.BinOp, ast.Compare, ast.UnaryOp)):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
                     self.eval(child, env)
             return None
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, env)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if node.value is not None:
-                self.eval(node.value, env)
-            return None
+            self.eval(node.value, env)
         return None
 
     # -- binding ------------------------------------------------------------
 
-    def bind(
-        self, target: ast.expr, val: Val | None, env: dict[str, Val]
-    ) -> None:
+    def bind(self, target: ast.expr, val: Val | None, env: dict[str, Val]) -> None:
         if isinstance(target, ast.Name):
             if val is None:
                 env.pop(target.id, None)
             else:
                 env[target.id] = val
-            return
-        if isinstance(target, ast.Starred):
+        elif isinstance(target, ast.Starred):
             self.bind(target.value, val, env)
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
+        elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self.bind(elt, val, env)
-            return
-        if isinstance(target, ast.Attribute):
-            key = _env_key(target)
+        elif isinstance(target, ast.Attribute):
+            key = env_key(target)
             if key is not None and val is not None:
                 env[key] = val
-            return
-        if isinstance(target, ast.Subscript):
+        elif isinstance(target, ast.Subscript):
             # `container[k] = v`: a cache-named container is an RP401
             # sink; any other container becomes a tracked collection
             # holding v's state.
@@ -626,35 +444,34 @@ class ProtoTransfer:
             if receiver is None:
                 return
             if freg.name_tokens(receiver) & preg.CACHE_NAME_TOKENS:
-                rendered = _clip(ast.unparse(target))
-                self._sink(target, val, f"stored into cache `{rendered}`")
-                return
-            if val is not None and val.kind in (UPDATE, COLL):
-                key = _env_key(target.value)
-                if key is not None:
-                    joined = _join_vals(
-                        env.get(key, Val(COLL, val.state, val.params)),
-                        Val(COLL, val.state, val.params),
-                    )
-                    if joined is not None:
-                        env[key] = joined
+                self._sink(target, val, f"stored into cache `{clip(ast.unparse(target))}`")
+            else:
+                self._collect(env_key(target.value), val, env)
+
+    def _collect(self, key: str | None, val: Val | None, env: dict[str, Val]) -> None:
+        """``val`` joins the collection held at ``key``."""
+        if key is None or not _tracked(val):
+            return
+        joined = _join(env.get(key), Val(COLL, val.state, val.params))
+        if joined is not None:
+            env[key] = joined
 
     # -- calls --------------------------------------------------------------
 
     def eval_call(self, node: ast.Call, env: dict[str, Val]) -> Val | None:
         func = node.func
-        fname = _terminal(func)
+        fname = terminal_name(func)
         is_attr = isinstance(func, ast.Attribute)
-        receiver_key = _env_key(func.value) if is_attr else None
+        receiver_key = env_key(func.value) if is_attr else None
         receiver_val = self.eval(func.value, env) if is_attr else None
         arg_vals = [self.eval(arg, env) for arg in node.args]
-        kw_vals = {kw.arg: self.eval(kw.value, env) for kw in node.keywords}
+        kw_vals = [self.eval(kw.value, env) for kw in node.keywords]
 
         # Origin: `UpdateType.from_bytes(...)` decodes untrusted bytes.
         if (
             is_attr
             and fname in preg.UPDATE_DECODE_CALLS
-            and (rname := _terminal(func.value)) is not None
+            and (rname := terminal_name(func.value)) is not None
             and _is_update_name(rname)
         ):
             return Val(UPDATE, FETCHED)
@@ -666,231 +483,104 @@ class ProtoTransfer:
             return None
         if fname in preg.BATCH_VERIFY_CALLS:
             for arg in [*node.args, *[kw.value for kw in node.keywords]]:
-                key = _env_key(arg)
+                key = env_key(arg)
                 if key is not None:
                     self._verify_key(key, env)
             return None
         if fname in preg.VERIFY_PREDICATES:
-            subjects: list[str] = []
-            params: frozenset[int] = frozenset()
-            candidates = [func.value] if is_attr else list(node.args)
-            for expr in candidates:
-                key = _env_key(expr)
-                if key is None:
-                    continue
-                val = env.get(key)
-                if val is not None and val.kind in (UPDATE, COLL):
-                    subjects.append(key)
-                    params |= val.params
-            return Val(VERDICT, params=params, subjects=tuple(subjects))
+            return self._verdict([func.value] if is_attr else node.args, env)
 
         # Sinks ---------------------------------------------------------
         if fname in preg.UPDATE_USE_CALLS:
-            for arg, val in zip(node.args, arg_vals):
+            for arg, val in zip(
+                [*node.args, *[kw.value for kw in node.keywords]], arg_vals + kw_vals
+            ):
                 self._sink(arg, val, f"passed to `{fname}()`")
-            for kw, val in zip(node.keywords, kw_vals.values()):
-                self._sink(kw.value, val, f"passed to `{fname}()`")
             return None
         if (
             fname in preg.UPDATE_SERIALIZE_CALLS
             and is_attr
             and receiver_val is not None
         ):
-            self._sink(
-                func.value, receiver_val, "re-serialized via `.to_bytes()`"
-            )
+            self._sink(func.value, receiver_val, "re-serialized via `.to_bytes()`")
             return None
         if fname in ("append", "add") and is_attr and node.args:
-            arg_val = arg_vals[0] if arg_vals else None
             rname = _receiver_name(func.value)
             if rname is not None and (
                 freg.name_tokens(rname) & preg.CACHE_NAME_TOKENS
             ):
                 self._sink(
                     node.args[0],
-                    arg_val,
-                    f"appended to cache `{_clip(ast.unparse(func.value))}`",
+                    arg_vals[0],
+                    f"appended to cache `{clip(ast.unparse(func.value))}`",
                 )
-            elif (
-                arg_val is not None
-                and arg_val.kind in (UPDATE, COLL)
-                and receiver_key is not None
-            ):
-                joined = _join_vals(
-                    env.get(receiver_key, Val(COLL, arg_val.state, arg_val.params)),
-                    Val(COLL, arg_val.state, arg_val.params),
-                )
-                if joined is not None:
-                    env[receiver_key] = joined
+            else:
+                self._collect(receiver_key, arg_vals[0], env)
             return None
 
         # Pass-through builtins keep the element state.
         if not is_attr and fname in ("list", "sorted", "tuple", "set", "reversed"):
             for val in arg_vals:
-                if val is not None and val.kind in (UPDATE, COLL):
+                if _tracked(val):
                     return Val(COLL, val.state, val.params)
             return None
 
         # Calls resolved inside the analyzed program ---------------------
-        return self._apply_program_call(
-            node, fname, is_attr, arg_vals, kw_vals, env
-        )
+        return self.apply_call(node, fname, receiver_val, arg_vals, kw_vals, env)
 
-    def _apply_program_call(
-        self,
-        node: ast.Call,
-        fname: str | None,
-        is_attr: bool,
-        arg_vals: list[Val | None],
-        kw_vals: dict[str | None, Val | None],
-        env: dict[str, Val],
+    def apply_summary(
+        self, node, cand, summary: ProtoSummary, values, exprs, env
     ) -> Val | None:
-        if fname is None:
-            return None
-        if not is_attr and self.analysis.index.is_class(fname):
-            # Constructors build *trusted* local values: the typestate
-            # protocol governs bytes that crossed a wire, and those
-            # enter through from_bytes, not __init__.
-            return None
-        candidates = self.analysis.index.resolve_function(fname)
-        if is_attr:
-            usable = candidates
-        else:
-            usable = [c for c in candidates if not c.is_method] or candidates
-        if not usable:
-            return None
-        out: Val | None = None
-        arg_exprs: dict[int, ast.expr] = {}
-        param_vals: dict[int, Val | None] = {}
-        for cand in usable[:_MAX_CANDIDATES]:
-            offset = 1 if cand.is_method else 0
-            arg_exprs = {offset + i: arg for i, arg in enumerate(node.args)}
-            param_vals = {offset + i: val for i, val in enumerate(arg_vals)}
-            index = {name: j for j, name in enumerate(cand.params)}
-            for kw in node.keywords:
-                if kw.arg is not None and kw.arg in index:
-                    arg_exprs[index[kw.arg]] = kw.value
-                    param_vals[index[kw.arg]] = kw_vals.get(kw.arg)
-            summary = self.analysis.summary_of(cand)
-            for pidx, desc in sorted(summary.param_sinks.items()):
-                val = param_vals.get(pidx)
-                if val is None or val.kind not in (UPDATE, COLL):
-                    continue
-                if val.state == FETCHED:
-                    pname = (
-                        cand.params[pidx]
-                        if pidx < len(cand.params)
-                        else f"#{pidx}"
-                    )
-                    self._emit(
-                        node,
-                        RP401,
-                        f"unverified update passed as `{pname}` to "
-                        f"`{cand.name}()`, which {desc}",
-                    )
-                elif val.state == PARAM:
-                    for i in val.params:
-                        self.param_sinks.setdefault(i, desc)
-            for pidx in summary.verifies:
-                expr = arg_exprs.get(pidx)
-                if expr is not None:
-                    key = _env_key(expr)
-                    if key is not None:
-                        self._verify_key(key, env)
-            if summary.verdict_of:
-                subjects: list[str] = []
-                params: frozenset[int] = frozenset()
-                for pidx in sorted(summary.verdict_of):
-                    expr = arg_exprs.get(pidx)
-                    key = _env_key(expr) if expr is not None else None
-                    if key is None:
-                        continue
-                    val = env.get(key)
-                    if val is not None and val.kind in (UPDATE, COLL):
-                        subjects.append(key)
-                        params |= val.params
-                verdict = Val(VERDICT, params=params, subjects=tuple(subjects))
-                out = verdict if out is None else None
-            elif summary.returns_update is not None:
-                returned = Val(UPDATE, summary.returns_update)
-                out = returned if out is None else _join_vals(out, returned)
-        return out
+        for pidx, desc in sorted(summary.param_sinks.items()):
+            val = values.get(pidx)
+            if not _tracked(val):
+                continue
+            if val.state == FETCHED:
+                pname = cand.params[pidx] if pidx < len(cand.params) else f"#{pidx}"
+                self.emit(
+                    node,
+                    RP401,
+                    f"unverified update passed as `{pname}` to "
+                    f"`{cand.name}()`, which {desc}",
+                )
+            elif val.state == PARAM:
+                for i in val.params:
+                    self.param_sinks.setdefault(i, desc)
+        for pidx in summary.verifies:
+            key = env_key(exprs.get(pidx))
+            if key is not None:
+                self._verify_key(key, env)
+        if summary.verdict_of:
+            return self._verdict([exprs.get(p) for p in sorted(summary.verdict_of)], env)
+        if summary.returns_update is not None:
+            return Val(UPDATE, summary.returns_update)
+        return None
 
 
-class ProtocolAnalysis:
-    """One whole-program typestate pass over a solved flow analysis."""
+class ProtocolAnalysis(DataflowPass):
+    """Typestate summaries, their fixpoint, and the RP4xx report."""
 
-    def __init__(
-        self,
-        modules: "list[tuple[str, str, ast.Module, list[str]]]",
-        program: ProgramAnalysis,
-    ):
-        self.program = program
-        self.index = program.index
-        self.summaries: dict[int, ProtoSummary] = {}
-        self.findings: list[Finding] = []
-        self._seen: set[tuple[str, int, int, str, str]] = set()
+    RULES = PROTO_RULES
+    TRANSFER = ProtoTransfer
 
-    def summary_of(self, func: FunctionInfo) -> ProtoSummary:
-        return self.summaries.get(id(func), ProtoSummary())
-
-    def emit(
-        self, func: FunctionInfo, node: ast.AST, rule: str, message: str
-    ) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (func.path, line, col, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                name=_PROTO_NAMES[rule],
-                path=func.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=_PROTO_HINTS[rule],
-            )
-        )
-
-    # -- driver --------------------------------------------------------------
-
-    def solve(self) -> None:
-        for _ in range(_MAX_FIXPOINT_PASSES):
-            changed = False
-            for func in self.index.all_functions:
-                summary = ProtoTransfer(func, self, report=False).run()
-                previous = self.summaries.get(id(func))
-                if previous is None or summary != previous:
-                    self.summaries[id(func)] = summary
-                    changed = True
-            if not changed:
-                return
-
-    def run(self) -> list[Finding]:
-        self.solve()
-        for func in self.index.all_functions:
-            ProtoTransfer(func, self, report=True).run()
-            self._rule_402(func)
-            self._rule_403(func)
-            self._rule_404(func)
-        return self.findings
+    def check(self, func: FunctionInfo) -> None:
+        self._rule_402(func)
+        self._rule_403(func)
+        self._rule_404(func)
 
     # -- RP402: unguarded transport awaits -----------------------------------
 
     def _rule_402(self, func: FunctionInfo) -> None:
         guarded: set[int] = set()
-        for node in _own_nodes(func.node):
+        for node in func.own_nodes:
             if (
                 isinstance(node, ast.Call)
-                and _terminal(node.func) in preg.DEADLINE_GUARD_CALLS
+                and terminal_name(node.func) in preg.DEADLINE_GUARD_CALLS
             ):
                 for arg in [*node.args, *[kw.value for kw in node.keywords]]:
                     for inner in ast.walk(arg):
                         guarded.add(id(inner))
-        for node in _own_nodes(func.node):
+        for node in func.own_nodes:
             if not isinstance(node, ast.Await):
                 continue
             call = node.value
@@ -909,7 +599,7 @@ class ProtocolAnalysis:
                 func,
                 node,
                 RP402,
-                f"`await {_clip(ast.unparse(call))}` in `{func.name}` is "
+                f"`await {clip(ast.unparse(call))}` in `{func.name}` is "
                 "not bounded by asyncio.wait_for or a deadline scope — a "
                 "stalled peer parks this coroutine forever",
             )
@@ -918,8 +608,7 @@ class ProtocolAnalysis:
 
     def _rule_403(self, func: FunctionInfo) -> None:
         spawners: list[tuple[ast.stmt, ast.Call, str | None]] = []
-        own = list(_own_nodes(func.node))
-        for node in own:
+        for node in func.own_nodes:
             if isinstance(node, ast.Expr) and self._spawner_call(node.value):
                 spawners.append((node, node.value, None))
             elif (
@@ -933,11 +622,11 @@ class ProtocolAnalysis:
             return
         loads: set[str] = {
             node.id
-            for node in own
+            for node in func.own_nodes
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         for stmt, call, name in spawners:
-            fname = _terminal(call.func)
+            fname = terminal_name(call.func)
             if name is None:
                 self.emit(
                     func,
@@ -959,7 +648,7 @@ class ProtocolAnalysis:
     def _spawner_call(node: ast.expr) -> bool:
         return (
             isinstance(node, ast.Call)
-            and _terminal(node.func) in preg.TASK_SPAWNERS
+            and terminal_name(node.func) in preg.TASK_SPAWNERS
         )
 
     # -- RP404: the service error taxonomy -----------------------------------
@@ -967,12 +656,12 @@ class ProtocolAnalysis:
     def _rule_404(self, func: FunctionInfo) -> None:
         if func.top_dir in preg.RAISE_TAXONOMY_SCOPES:
             allowed = preg.SERVICE_TAXONOMY_CLASSES | preg.SERVICE_WRAPPED_ERRORS
-            for node in _own_nodes(func.node):
+            for node in func.own_nodes:
                 if not isinstance(node, ast.Raise) or node.exc is None:
                     continue
                 exc = node.exc
                 target = exc.func if isinstance(exc, ast.Call) else exc
-                name = _terminal(target)
+                name = terminal_name(target)
                 # Only class-looking names are judged: re-raising a
                 # caught variable (`raise exc`) is classification done
                 # elsewhere.
@@ -989,7 +678,7 @@ class ProtocolAnalysis:
                     "policies cannot classify it",
                 )
         if func.top_dir in preg.BROAD_EXCEPT_SCOPES:
-            for node in _own_nodes(func.node):
+            for node in func.own_nodes:
                 if not isinstance(node, ast.Try):
                     continue
                 for handler in node.handlers:
@@ -1002,7 +691,7 @@ class ProtocolAnalysis:
                     ):
                         continue
                     caught = (
-                        _terminal(handler.type)
+                        terminal_name(handler.type)
                         if handler.type is not None
                         else "everything"
                     )
@@ -1024,15 +713,4 @@ class ProtocolAnalysis:
             if isinstance(handler.type, ast.Tuple)
             else [handler.type]
         )
-        return any(_terminal(t) in preg.BROAD_EXCEPT_NAMES for t in types)
-
-
-def analyze_protocols(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-    program: ProgramAnalysis,
-) -> list[Finding]:
-    """Run the typestate pass over parsed modules, reusing the solved
-    flow analysis (its index; summaries here are the protocol family's
-    own fixpoint).  Returns findings without fingerprints — the engine
-    attaches those."""
-    return ProtocolAnalysis(modules, program).run()
+        return any(terminal_name(t) in preg.BROAD_EXCEPT_NAMES for t in types)

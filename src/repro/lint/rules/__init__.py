@@ -44,7 +44,7 @@ def get_rule(identifier: str):
     """Look a rule up by id ("RP101"/"RP302") or name ("rng-discipline").
 
     Returns a :class:`Rule` for the AST rules or a
-    :class:`repro.lint.flow.FlowRuleMeta` for the flow and concurrency
+    :class:`repro.lint.dataflow.RuleMeta` for the whole-program
     families — both carry ``id``, ``name``, ``rationale`` and ``hint``.
     """
     from repro.lint.conc import CONC_RULES

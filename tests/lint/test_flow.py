@@ -14,7 +14,10 @@ import re
 from pathlib import Path
 
 from repro.lint import lint_source
+from repro.lint.dataflow import MAX_FIXPOINT_PASSES
 from repro.lint.engine import analyze_modules, parse_module
+from repro.lint.flow import TaintAnalysis
+from repro.lint.flow.callgraph import ProgramIndex
 from repro.lint.flow.lattice import (
     CLEAN,
     DERIVED,
@@ -237,3 +240,34 @@ def test_field_level_repr_suppression_satisfies_the_check():
         "@dataclass(frozen=True)", field_suffix=" = field(repr=False)"
     )
     assert not findings
+
+
+# -- the summary fixpoint ---------------------------------------------------
+
+RECURSION = Path(__file__).parent / "fixtures" / "flow_recursion_bad.py"
+
+
+def test_recursive_chain_reports_its_shortest_depth():
+    """Around a call cycle a parameter's sink is recorded at the
+    shortest chain depth, not re-recorded one call deeper each pass."""
+    source = RECURSION.read_text(encoding="utf-8")
+    findings, _ = lint_source(
+        source, "recursion_bad.py", package_path="core/recursion_bad.py"
+    )
+    depths = {
+        re.search(r"to `(\w+)\(\)`", f.message).group(1): re.search(
+            r"reaches a sink (\d+) call", f.message
+        ).group(1)
+        for f in findings
+    }
+    assert depths == {"ping": "1", "pong": "2"}
+
+
+def test_fixpoint_converges_around_a_call_cycle():
+    module = parse_module(
+        RECURSION.read_text(encoding="utf-8"),
+        "recursion_bad.py",
+        "core/recursion_bad.py",
+    )
+    index = ProgramIndex([(module.path, module.package_path, module.tree, module.lines)])
+    assert TaintAnalysis(index).solve() < MAX_FIXPOINT_PASSES

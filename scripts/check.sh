@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full local gate: exactly what CI runs.
 #
-#   ./scripts/check.sh            # tier-1 tests + repro.lint (+ ruff/mypy if installed)
-#   ./scripts/check.sh --fast     # skip the test suite, just the static checks
+#   ./scripts/check.sh            # tier-1 tests + repro.lint + perfbench quick run
+#                                 # and tests (+ ruff/mypy if installed)
+#   ./scripts/check.sh --fast     # skip the test suites, just the static checks
 #   ./scripts/check.sh --bench    # also run the toy64 smoke benchmark and the
 #                                 # trajectory regression check (advisory —
 #                                 # mirrors CI's non-blocking bench job)
@@ -45,6 +46,14 @@ step "crypto-hygiene lint (repro.lint, RP1xx-RP4xx)"
 PYTHONPATH=src python -m repro.lint src examples benchmarks \
     --check-baseline --self-time-budget 60 \
     || failures=$((failures + 1))
+
+# perfbench sits outside tier-1's testpaths; this catches a rename of an
+# entry point its spans wrap (mirrors CI's perfbench job).
+if [ "$fast" -eq 0 ]; then
+    step "perfbench (quick run + its tests)"
+    { python3 perfbench/run.py --quick >/dev/null \
+        && python -m pytest perfbench -q; } || failures=$((failures + 1))
+fi
 
 step "ruff"
 if command -v ruff >/dev/null 2>&1; then

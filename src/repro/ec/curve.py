@@ -4,7 +4,9 @@ The curve object is generic over the coefficient field: anything with the
 element protocol used by :mod:`repro.math.field` / :mod:`repro.math.quadratic`
 (arithmetic operators, ``square``, ``inverse``, ``is_zero``, ``to_bytes``)
 works.  Scalar multiplication runs in Jacobian projective coordinates so a
-``k``-bit multiply costs one field inversion instead of ``~1.5k``.
+``k``-bit multiply costs one field inversion instead of ``~1.5k``; over
+``Fp`` it runs on plain ints in the field kernel
+(:mod:`repro.math.backend`).
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class EllipticCurve:
         a non-residue.
         """
         rhs = x.square() * x + self.a * x + self.b
-        if not rhs.is_square():
-            raise NotOnCurveError("x does not lift to a curve point")
-        y = rhs.sqrt()
+        try:
+            y = rhs.sqrt()
+        except ParameterError:
+            raise NotOnCurveError("x does not lift to a curve point") from None
         if y.value % 2 != y_parity % 2:
             y = -y
         return CurvePoint(self, x, y)
@@ -96,11 +99,106 @@ class EllipticCurve:
         return self.point(x, y)
 
     # ------------------------------------------------------------------
-    # Jacobian-coordinate scalar multiplication.
+    # Scalar multiplication.
     #
-    # A Jacobian triple (X, Y, Z) represents the affine point
-    # (X / Z^2, Y / Z^3); infinity is Z == 0.
+    # Over Fp every ladder runs in the field kernel on plain ints
+    # (repro.math.backend: one Jacobian doubling and one mixed-addition
+    # formula); points cross the boundary once in and once out as
+    # affine coordinates.  Extension-field curves (bn254 G2/G12) keep
+    # the object-level Jacobian helpers below.
     # ------------------------------------------------------------------
+
+    def _affine_point(self, xy) -> CurvePoint:
+        """Wrap the kernel's affine int pair (``None`` is infinity)."""
+        if xy is None:
+            return self.infinity()
+        field = self.field
+        return CurvePoint(self, FieldElement(field, xy[0]), FieldElement(field, xy[1]))
+
+    def _fp_mul(self, pairs, width: int) -> CurvePoint:
+        """``Σ k·P`` over Fp through :meth:`FieldBackend.ec_mul`."""
+        terms = [(k, point.x.value, point.y.value) for k, point in pairs]
+        return self._affine_point(
+            self.field.backend.ec_mul(self.a.value, terms, width)
+        )
+
+    @staticmethod
+    def _wnaf_width(bits: int) -> int:
+        """wNAF width minimizing setup plus ``bits/(w+1)`` additions.
+
+        A table of odd multiples costs two batch inversions plus
+        ``2^(w-2) - 1`` additions, so plain NAF wins below ~100 bits;
+        at ss512, width 4 and 5 tie for 160-bit group scalars and width
+        5 is best for the 352-bit cofactor.
+        """
+        if bits <= 96:
+            return 2
+        if bits <= 256:
+            return 4
+        return 5
+
+    def scalar_mult(self, point: CurvePoint, scalar: int) -> CurvePoint:
+        """``scalar * point``.
+
+        Over Fp this is the one-term case of :meth:`multi_scalar_mult`'s
+        wNAF ladder, with the width sized by ``scalar.bit_length()`` so
+        tiny scalars (cofactor checks, small test multiples) skip the
+        odd-multiple table.  Extension-field curves run a fixed-window
+        ladder on the object-level Jacobian helpers.
+        """
+        if scalar == 0 or point.is_infinity:
+            return self.infinity()
+        if scalar == 1:
+            return point
+        if isinstance(self.field, PrimeField):
+            return self._fp_mul(
+                [(scalar, point)], self._wnaf_width(abs(scalar).bit_length())
+            )
+        if scalar < 0:
+            point, scalar = -point, -scalar
+        base = self._to_jacobian(point)
+        width = 4 if scalar.bit_length() > 100 else 2
+        size = 1 << width
+        window = [None, base]
+        for _ in range(size - 2):
+            window.append(self._jacobian_add(window[-1], base))
+        result = (self.field.one(), self.field.one(), self.field.zero())
+        mask = size - 1
+        for window_index in range((scalar.bit_length() + width - 1) // width - 1, -1, -1):
+            for _ in range(width):
+                result = self._jacobian_double(result)
+            digit = (scalar >> (width * window_index)) & mask
+            if digit:
+                result = self._jacobian_add(result, window[digit])
+        return self._from_jacobian(result)
+
+    def multi_scalar_mult(self, pairs, width: int = 4) -> CurvePoint:
+        """``sum(k_i * P_i)`` via interleaved wNAF with shared doublings.
+
+        ``pairs`` is an iterable of ``(scalar, point)`` tuples.  Each
+        point gets a table of odd multiples ``P, 3P, ..., (2^(w-1)-1)P``
+        (batch-normalized to affine across all points) and each scalar a
+        width-``w`` NAF expansion, so the single
+        doubling chain absorbs roughly ``bits/(w+1)`` mixed additions
+        per term instead of ``bits/2`` plain additions.  Used by
+        verification equations that combine several terms.  On an
+        extension-field curve the terms are multiplied one by one.
+        """
+        pairs = [(k, p) for k, p in pairs if k != 0 and not p.is_infinity]
+        if not pairs:
+            return self.infinity()
+        if not isinstance(self.field, PrimeField):
+            total = self.infinity()
+            for k, p in pairs:
+                total = total + self.scalar_mult(p, k)
+            return total
+        if max(abs(k).bit_length() for k, _ in pairs) <= 16:
+            width = 2
+        return self._fp_mul(pairs, width)
+
+    # Object-level Jacobian helpers for extension-field curves.  A triple
+    # (X, Y, Z) represents the affine point (X / Z^2, Y / Z^3); infinity
+    # is Z == 0.
 
     def _jacobian_double(self, jp):
         x1, y1, z1 = jp
@@ -141,87 +239,7 @@ class EllipticCurve:
         z3 = z1 * z2 * h
         return (x3, y3, z3)
 
-    def _jacobian_add_affine(self, jp, ax, ay):
-        """Mixed addition of an affine point ``(ax, ay)`` (``Z == 1``).
-
-        Saves the ``Z2``-dependent work of :meth:`_jacobian_add`; this is
-        the inner operation of every table-driven multiplication, where
-        table entries are batch-normalized to affine.
-        """
-        x1, y1, z1 = jp
-        if z1.is_zero():
-            return (ax, ay, self.field.one())
-        z1sq = z1.square()
-        u2 = ax * z1sq
-        s2 = ay * z1sq * z1
-        if x1 == u2:
-            if y1 == s2:
-                return self._jacobian_double(jp)
-            return (self.field.one(), self.field.one(), self.field.zero())
-        h = u2 - x1
-        r = s2 - y1
-        hsq = h.square()
-        hcu = hsq * h
-        v = x1 * hsq
-        x3 = r.square() - hcu - v - v
-        y3 = r * (v - x3) - y1 * hcu
-        z3 = z1 * h
-        return (x3, y3, z3)
-
-    def batch_to_affine(self, triples):
-        """Normalize Jacobian triples to affine ``(x, y)`` pairs.
-
-        Uses Montgomery's trick: one field inversion for the whole batch
-        instead of one per point.  Infinity entries come back as ``None``.
-        Over a :class:`~repro.math.field.PrimeField` the inversion runs
-        through the field kernel's
-        :meth:`~repro.math.backend.FieldBackend.fp_batch_inv` on
-        raw coefficients (same values, no per-step object allocation);
-        extension-field batches keep the generic element path.
-        """
-        if isinstance(self.field, PrimeField):
-            return self._batch_to_affine_fp(triples)
-        prefix = []
-        acc = self.field.one()
-        for _, _, z in triples:
-            prefix.append(acc)
-            if not z.is_zero():
-                acc = acc * z
-        inv = acc.inverse()
-        out: list = [None] * len(triples)
-        for index in range(len(triples) - 1, -1, -1):
-            x, y, z = triples[index]
-            if z.is_zero():
-                continue
-            zinv = inv * prefix[index]
-            inv = inv * z
-            zinv_sq = zinv.square()
-            out[index] = (x * zinv_sq, y * zinv_sq * zinv)
-        return out
-
-    def _batch_to_affine_fp(self, triples):
-        """Base-field batch normalization on raw ints via the field kernel."""
-        field = self.field
-        p = field.p
-        z_values = [z.value for _, _, z in triples if not z.is_zero()]
-        if not z_values:
-            return [None] * len(triples)
-        z_invs = iter(field.backend.fp_batch_inv(z_values))
-        out: list = [None] * len(triples)
-        for index, (x, y, z) in enumerate(triples):
-            if z.is_zero():
-                continue
-            zinv = next(z_invs)
-            zinv_sq = zinv * zinv % p
-            out[index] = (
-                FieldElement(field, x.value * zinv_sq % p),
-                FieldElement(field, y.value * zinv_sq * zinv % p),
-            )
-        return out
-
     def _to_jacobian(self, point: CurvePoint):
-        if point.is_infinity:
-            return (self.field.one(), self.field.one(), self.field.zero())
         return (point.x, point.y, self.field.one())
 
     def _from_jacobian(self, jp) -> CurvePoint:
@@ -231,114 +249,6 @@ class EllipticCurve:
         zinv = z.inverse()
         zinv_sq = zinv.square()
         return CurvePoint(self, x * zinv_sq, y * zinv_sq * zinv)
-
-    @staticmethod
-    def _window_width(bits: int) -> int:
-        """Window width minimizing setup (``2^w - 2`` adds) + loop adds."""
-        if bits <= 10:
-            return 1
-        if bits <= 32:
-            return 2
-        if bits <= 100:
-            return 3
-        return 4
-
-    def scalar_mult(self, point: CurvePoint, scalar: int) -> CurvePoint:
-        """``scalar * point`` via a fixed-window Jacobian ladder.
-
-        The window is sized by ``scalar.bit_length()``: tiny scalars
-        (cofactor-by-12 checks, small test multiples) skip table setup
-        entirely rather than paying 14 Jacobian adds for a 16-entry
-        window they barely index into.
-        """
-        if scalar == 0 or point.is_infinity:
-            return self.infinity()
-        if scalar < 0:
-            return self.scalar_mult(-point, -scalar)
-        if scalar == 1:
-            return point
-        base = self._to_jacobian(point)
-        bits = scalar.bit_length()
-        width = self._window_width(bits)
-        if width == 1:
-            # Plain double-and-add; a table would cost more than it saves.
-            result = base
-            for bit in range(bits - 2, -1, -1):
-                result = self._jacobian_double(result)
-                if (scalar >> bit) & 1:
-                    result = self._jacobian_add(result, base)
-            return self._from_jacobian(result)
-        size = 1 << width
-        window = [None, base]
-        for _ in range(size - 2):
-            window.append(self._jacobian_add(window[-1], base))
-        result = (self.field.one(), self.field.one(), self.field.zero())
-        mask = size - 1
-        for window_index in range((bits + width - 1) // width - 1, -1, -1):
-            for _ in range(width):
-                result = self._jacobian_double(result)
-            digit = (scalar >> (width * window_index)) & mask
-            if digit:
-                result = self._jacobian_add(result, window[digit])
-        return self._from_jacobian(result)
-
-    def multi_scalar_mult(self, pairs, width: int = 4) -> CurvePoint:
-        """``sum(k_i * P_i)`` via interleaved wNAF with shared doublings.
-
-        ``pairs`` is an iterable of ``(scalar, point)`` tuples.  Each
-        point gets a table of odd multiples ``P, 3P, ..., (2^(w-1)-1)P``
-        (batch-normalized to affine in one inversion across all points)
-        and each scalar a width-``w`` NAF expansion, so the single
-        doubling chain absorbs roughly ``bits/(w+1)`` mixed additions
-        per term instead of ``bits/2`` plain additions.  Used by
-        verification equations that combine several terms.
-        """
-        from repro.ec.precompute import wnaf_digits
-
-        pairs = [(k, p) for k, p in pairs if k != 0 and not p.is_infinity]
-        if not pairs:
-            return self.infinity()
-        normalized = []
-        for k, p in pairs:
-            if k < 0:
-                k, p = -k, -p
-            normalized.append((k, p))
-        if max(k.bit_length() for k, _ in normalized) <= 16:
-            width = 2
-        odd_count = max(1, 1 << (width - 2))
-        flat = []
-        digit_lists = []
-        for k, p in normalized:
-            digit_lists.append(wnaf_digits(k, width))
-            jp = self._to_jacobian(p)
-            twop = self._jacobian_double(jp)
-            odd = [jp]
-            for _ in range(odd_count - 1):
-                odd.append(self._jacobian_add(odd[-1], twop))
-            flat.extend(odd)
-        affine = self.batch_to_affine(flat)
-        tables = [
-            affine[i * odd_count:(i + 1) * odd_count]
-            for i in range(len(normalized))
-        ]
-        top = max(len(digits) for digits in digit_lists)
-        result = (self.field.one(), self.field.one(), self.field.zero())
-        for position in range(top - 1, -1, -1):
-            result = self._jacobian_double(result)
-            for digits, table in zip(digit_lists, tables):
-                if position >= len(digits):
-                    continue
-                digit = digits[position]
-                if digit == 0:
-                    continue
-                entry = table[(abs(digit) - 1) // 2]
-                if entry is None:
-                    continue  # odd multiple hit infinity (tiny-order point)
-                ax, ay = entry
-                if digit < 0:
-                    ay = -ay
-                result = self._jacobian_add_affine(result, ax, ay)
-        return self._from_jacobian(result)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -6,7 +6,9 @@ receiver's ``asG``.  :class:`FixedBaseTable` trades a one-time table
 build (all windowed multiples of the base, batch-normalized to affine)
 for multiplications that need **zero doublings** — just one mixed
 addition per window — which amortizes after a few calls on the same
-point.
+point.  Both run on plain ints through the field kernel's Jacobian
+formulas (:mod:`repro.math.backend`), so tables exist for curves over
+``Fp`` only.
 
 The module also re-exports :func:`repro.math.modular.wnaf_digits`, the
 signed-digit expansion used by
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 from repro.ec.point import CurvePoint
 from repro.errors import ParameterError
+from repro.math.backend import INFINITY, jacobian_add_affine, jacobian_double
+from repro.math.field import PrimeField
 from repro.math.modular import wnaf_digits
 
 __all__ = ["FixedBaseTable", "wnaf_digits"]
@@ -55,6 +59,8 @@ class FixedBaseTable:
             raise ParameterError("window width must be in 1..8")
         if bits < 1:
             raise ParameterError("table capacity must be at least one bit")
+        if not isinstance(point.curve.field, PrimeField):
+            raise ParameterError("fixed-base tables need a curve over Fp")
         self.point = point
         self.curve = point.curve
         self.width = width
@@ -63,19 +69,29 @@ class FixedBaseTable:
         self._rows: list[list] = []
         if point.is_infinity:
             return
-        curve = self.curve
+        # Window bases 2^(j*w)·P by doubling, one batch normalization,
+        # then each row's multiples by mixed additions of its affine base
+        # and a second batch normalization for the whole table.
+        backend = self.curve.field.backend
+        p, a = backend.p, self.curve.a.value
         size = 1 << width
-        base = curve._to_jacobian(point)
+        jp = (point.x.value, point.y.value, 1)
+        chain = [jp]
+        for _ in range(self.windows - 1):
+            for _ in range(width):
+                jp = jacobian_double(p, a, *jp)
+            chain.append(jp)
         flat = []
-        for _ in range(self.windows):
-            entry = base
+        for base in backend.ec_batch_to_affine(chain):
+            if base is None:  # tiny-order point: every multiple is infinity
+                flat.extend([INFINITY] * (size - 1))
+                continue
+            entry = (*base, 1)
             flat.append(entry)
             for _ in range(size - 2):
-                entry = curve._jacobian_add(entry, base)
+                entry = jacobian_add_affine(p, a, *entry, *base)
                 flat.append(entry)
-            for _ in range(width):
-                base = curve._jacobian_double(base)
-        affine = curve.batch_to_affine(flat)
+        affine = backend.ec_batch_to_affine(flat)
         self._rows = [
             affine[j * (size - 1):(j + 1) * (size - 1)]
             for j in range(self.windows)
@@ -97,17 +113,18 @@ class FixedBaseTable:
         if scalar.bit_length() > self.bits:
             result = curve.scalar_mult(self.point, scalar)
             return -result if negate else result
+        backend = curve.field.backend
+        p, a = backend.p, curve.a.value
         mask = (1 << self.width) - 1
-        acc = (curve.field.one(), curve.field.one(), curve.field.zero())
-        for window_index in range(self.windows):
-            digit = (scalar >> (window_index * self.width)) & mask
-            if not digit:
-                continue
-            entry = self._rows[window_index][digit - 1]
-            if entry is None:
-                continue  # that multiple is infinity (tiny-order base)
-            acc = curve._jacobian_add_affine(acc, entry[0], entry[1])
-        result = curve._from_jacobian(acc)
+        x, y, z = INFINITY
+        for row in self._rows:
+            digit = scalar & mask
+            scalar >>= self.width
+            if digit:
+                entry = row[digit - 1]
+                if entry is not None:  # else that multiple is infinity
+                    x, y, z = jacobian_add_affine(p, a, x, y, z, *entry)
+        result = curve._affine_point(backend.ec_batch_to_affine([(x, y, z)])[0])
         return -result if negate else result
 
     def __repr__(self) -> str:

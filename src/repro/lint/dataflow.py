@@ -269,16 +269,26 @@ class Transfer:
             self.merge(env, loop_env)
             self.after_for(stmt, iter_value, loop_env, env)
         elif isinstance(stmt, ast.Try):
-            survivors = [] if self.exec_block(stmt.body, env) else [dict(env)]
+            # A handler may start after any statement of the body: it
+            # sees the join of the entry state and every state between
+            # body statements.  `else` runs only when nothing raised.
+            raised = dict(env)
+            body_left = False
+            for body_stmt in stmt.body:
+                body_left = self.exec_stmt(body_stmt, env)
+                self.merge(raised, env)
+                if body_left:
+                    break
+            survivors = []
+            if not body_left and not self.exec_block(stmt.orelse, env):
+                survivors.append(dict(env))
             for handler in stmt.handlers:
-                handler_env = dict(env)
+                handler_env = dict(raised)
                 if handler.name:
                     self.bind(ast.Name(handler.name, ast.Store()), self.BOTTOM, handler_env)
                 if not self.exec_block(handler.body, handler_env):
                     survivors.append(handler_env)
             ended = self._rejoin(env, survivors)
-            if not ended:
-                self.exec_block(stmt.orelse, env)
             # `finally` runs on every path, including the ones that left.
             return self.exec_block(stmt.finalbody, env) or ended
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):

@@ -110,11 +110,15 @@ def sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        # One modexp: the candidate root squares back to ``a`` exactly
+        # when ``a`` is a residue (Euler's criterion folded in).
+        root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            raise ParameterError(f"{a} is not a quadratic residue mod p")
+        return min(root, p - root)
     if not is_quadratic_residue(a, p):
         raise ParameterError(f"{a} is not a quadratic residue mod p")
-    if p % 4 == 3:
-        root = pow(a, (p + 1) // 4, p)
-        return min(root, p - root)
     # Tonelli-Shanks for p % 4 == 1.
     q, s = p - 1, 0
     while q % 2 == 0:

@@ -113,12 +113,17 @@ class PairingPrecomputation:
     arithmetic in the Miller loop.  On family B (no denominator-free
     loop) the object transparently falls back to the direct pairing, so
     callers can precompute unconditionally.
+
+    The group is held weakly: the group caches this object, and a
+    strong back-reference would make every group with cached lines a
+    reference cycle, kept alive with all its tables until the cyclic
+    collector happens to run.
     """
 
-    __slots__ = ("group", "point", "lines")
+    __slots__ = ("_group", "point", "lines")
 
     def __init__(self, group: "PairingGroup", point: CurvePoint):
-        self.group = group
+        self._group = weakref.ref(group)
         self.point = point
         self.lines = None
         if group.family == FAMILY_A and not point.is_infinity:
@@ -136,24 +141,33 @@ class PairingPrecomputation:
         ``point`` (they came from this library's own export).
         """
         precomp = cls.__new__(cls)
-        precomp.group = group
+        precomp._group = weakref.ref(group)
         precomp.point = point
         precomp.lines = lines
         return precomp
 
+    @property
+    def group(self) -> "PairingGroup":
+        group = self._group()
+        if group is None:
+            raise ParameterError("the pairing group of this precomputation is gone")
+        return group
+
     def pair(self, q_point: CurvePoint) -> "GTElement":
         """``ê(P, Q)`` — byte-identical to ``group.pair(P, Q)``."""
-        self.group.counters.record(PAIRING)
+        group = self.group
+        group.counters.record(PAIRING)
         if not q_point.is_infinity and not self.point.is_infinity:
-            self.group.counters.record(MILLER_LOOP)
-            self.group.counters.record(FINAL_EXP)
-        return GTElement(self.group, self._pair_value(q_point))
+            group.counters.record(MILLER_LOOP)
+            group.counters.record(FINAL_EXP)
+        return GTElement(group, self._pair_value(q_point))
 
     def _pair_value(self, q_point: CurvePoint) -> QuadraticElement:
+        group = self.group
         if self.lines is None:
-            return self.group.tate.pair(self.point, q_point)
-        self.group.counters.record(PAIRING_PRECOMP)
-        return self.group.tate.pair_with_precomp(self.lines, q_point)
+            return group.tate.pair(self.point, q_point)
+        group.counters.record(PAIRING_PRECOMP)
+        return group.tate.pair_with_precomp(self.lines, q_point)
 
     def __repr__(self) -> str:
         kind = "lines" if self.lines is not None else "fallback"

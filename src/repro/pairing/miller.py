@@ -29,6 +29,7 @@ from repro.encoding import int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, ParameterError
 from repro.ec.point import CurvePoint
 from repro.math.backend import LINE as _LINE, ONE as _ONE, VERT as _VERT
+from repro.math.backend import jacobian_add_affine, jacobian_double
 from repro.math.quadratic import QuadraticElement, QuadraticField
 
 
@@ -146,9 +147,11 @@ def record_line_sequence_fast(
     anything else raises :class:`ParameterError`.  An affine recorder
     would pay one field inversion per loop step (the slope denominator),
     which dominates a cold pairing.  This one walks the double/add
-    schedule in Jacobian coordinates on raw integers, batch-normalizes
+    schedule in Jacobian coordinates on raw integers (the field kernel's
+    :func:`~repro.math.backend.jacobian_double` and
+    :func:`~repro.math.backend.jacobian_add_affine`), batch-normalizes
     every intermediate ``V`` to affine with ONE field inversion
-    (:meth:`~repro.math.backend.FieldBackend.fp_batch_inv`), then
+    (:meth:`~repro.math.backend.FieldBackend.ec_batch_to_affine`), then
     resolves all slope denominators with a second batch inversion.
     Affine coordinates are canonical, so the steps equal the affine
     recorder's (the test suite keeps that recorder as an oracle).
@@ -158,73 +161,28 @@ def record_line_sequence_fast(
     p = field.p
     a_coeff = p_point.curve.a.value
     px, py = p_point.x.value, p_point.y.value
-    # Walk the chain in Jacobian coordinates, remembering V's projective
-    # coordinates at each line-evaluation site (doubling lines evaluate
-    # at V *before* the doubling; addition lines at V after it).
+    # Walk the chain with the field kernel's Jacobian formulas,
+    # remembering V's projective coordinates at each line-evaluation
+    # site (doubling lines evaluate at V *before* the doubling; addition
+    # lines at V after it).
     x, y, z = px, py, 1
-    sched = []
+    flags = []
+    sites = []
     for bit_index in range(order.bit_length() - 2, -1, -1):
-        sched.append((False, x, y, z))
-        if z == 0 or y == 0:
-            x, y, z = 1, 1, 0
-        else:
-            ysq = y * y % p
-            s = 4 * x * ysq % p
-            m = (3 * x * x + a_coeff * pow(z, 4, p)) % p
-            x, y, z = (
-                (m * m - 2 * s) % p,
-                (m * (s - (m * m - 2 * s)) - 8 * ysq * ysq) % p,
-                2 * y * z % p,
-            )
+        flags.append(False)
+        sites.append((x, y, z))
+        x, y, z = jacobian_double(p, a_coeff, x, y, z)
         if (order >> bit_index) & 1:
-            sched.append((True, x, y, z))
-            if z == 0:
-                x, y, z = px, py, 1
-            else:
-                z1sq = z * z % p
-                u2 = px * z1sq % p
-                s2 = py * z1sq * z % p
-                if x == u2 and y != s2:
-                    x, y, z = 1, 1, 0
-                elif x == u2:
-                    ysq = y * y % p
-                    s = 4 * x * ysq % p
-                    m = (3 * x * x + a_coeff * pow(z, 4, p)) % p
-                    x, y, z = (
-                        (m * m - 2 * s) % p,
-                        (m * (s - (m * m - 2 * s)) - 8 * ysq * ysq) % p,
-                        2 * y * z % p,
-                    )
-                else:
-                    h = (u2 - x) % p
-                    r = (s2 - y) % p
-                    hsq = h * h % p
-                    hcu = hsq * h % p
-                    v = x * hsq % p
-                    x3 = (r * r - hcu - 2 * v) % p
-                    x, y, z = (
-                        x3,
-                        (r * (v - x3) - y * hcu) % p,
-                        z * h % p,
-                    )
+            flags.append(True)
+            sites.append((x, y, z))
+            x, y, z = jacobian_add_affine(p, a_coeff, x, y, z, px, py)
     if z != 0:
         raise ParameterError("point order does not divide the loop order")
-    # First batch inversion: normalize every finite V to affine.
-    z_invs = iter(
-        backend.fp_batch_inv([vz for _, _, _, vz in sched if vz != 0])
-    )
-    affine = []
-    for is_add, vx, vy, vz in sched:
-        if vz == 0:
-            affine.append((is_add, None))
-        else:
-            zi = next(z_invs)
-            zi_sq = zi * zi % p
-            affine.append((is_add, (vx * zi_sq % p, vy * zi_sq * zi % p)))
-    # Second batch inversion: all slope denominators at once.
+    # First batch inversion: normalize every finite V to affine.  The
+    # second (below) resolves all slope denominators at once.
     denominators: list[int] = []
     metas = []
-    for is_add, coords in affine:
+    for is_add, coords in zip(flags, backend.ec_batch_to_affine(sites)):
         if coords is None:
             metas.append((is_add, _ONE, 0, 0, None))
             continue

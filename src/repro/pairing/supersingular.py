@@ -152,12 +152,13 @@ class SupersingularCurve:
             y = self.fp(value)
             x = (y.square() - self.fp(1)).cube_root()
             return self.curve.unchecked_point(x, y)
-        # Family A: try x = value, succeed iff x^3 + x is a square.
+        # Family A: try x = value, succeed iff x^3 + x is a square (one
+        # modexp: sqrt rejects a non-residue by squaring its candidate).
         x = self.fp(value)
-        rhs = x.square() * x + x
-        if not rhs.is_square():
+        try:
+            y = (x.square() * x + x).sqrt()
+        except ParameterError:
             return None
-        y = rhs.sqrt()
         if seed[0] & 1:
             y = -y
         return self.curve.unchecked_point(x, y)

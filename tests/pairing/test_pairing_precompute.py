@@ -1,5 +1,8 @@
 """Cached-Miller-line pairings must be byte-identical to direct pairings."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import NotInSubgroupError, ParameterError
@@ -97,6 +100,22 @@ class TestGroupLevelCache:
         assert fresh.precompute_pairing(p) is first
         fresh.clear_precomputations()
         assert fresh.precompute_pairing(p) is not first
+
+    def test_cached_lines_do_not_keep_the_group_alive(self, rng):
+        """A group with cached lines is freed by reference counting alone:
+        a cycle would keep its tables until the cyclic collector ran."""
+        fresh = PairingGroup("toy64", family="A")
+        point = fresh.random_point(rng)
+        precomp = fresh.precompute_pairing(point)
+        alive = weakref.ref(fresh)
+        gc.disable()
+        try:
+            del fresh
+            assert alive() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ParameterError):
+            precomp.pair(point)
 
     def test_infinity_argument_handling(self, rng):
         fresh = PairingGroup("toy64", family="A")
